@@ -21,7 +21,10 @@ bool LayoutPolicy::SlotManaged(const ManagedClient& client) const {
 std::vector<ManagedClient*> LayoutPolicy::SlotClients(int screen) const {
   std::vector<ManagedClient*> out;
   for (ManagedClient* client : wm_->Clients()) {  // clients_ map: id order.
-    if (client->screen == screen && SlotManaged(*client)) {
+    // A client destroyed earlier in this batch (its DestroyNotify still
+    // queued) gets no slot: every request on its window would be BadWindow.
+    if (client->screen == screen && SlotManaged(*client) &&
+        wm_->display().server().WindowExists(client->window)) {
       out.push_back(client);
     }
   }
@@ -45,15 +48,26 @@ void LayoutPolicy::ApplySlot(ManagedClient* client, const xbase::Rect& slot) {
       client->client_panel == nullptr) {
     return;
   }
+  // The sizes below are read off the laid-out tree; settle a layout still
+  // pending from earlier in the batch (a retitle) before trusting them.
+  if (client->frame->dirty_kinds() & oi::kLayoutDirty) {
+    wm_->FlushFrames();
+  }
+  // A reflow pays only for clients whose geometry changes.  The skip test is
+  // the WM_NORMAL_HINTS-constrained request against the client's current
+  // size, so a hints change under an unchanged slot still reapplies.
+  auto resize_toward = [&](xbase::Size desired) {
+    if (client->size_hints.Constrain(desired) != client->client_panel->geometry().size()) {
+      wm_->ResizeClient(client, desired);  // Constrains, lays out, re-shapes.
+    }
+  };
   xbase::Size frame_size = client->frame->geometry().size();
   xbase::Size panel_size = client->client_panel->geometry().size();
   xbase::Size decoration{frame_size.width - panel_size.width,
                          frame_size.height - panel_size.height};
   xbase::Size desired{std::max(1, slot.width - decoration.width),
                       std::max(1, slot.height - decoration.height)};
-  // ResizeClient runs WM_NORMAL_HINTS Constrain (min/max/increments), lays
-  // the decoration out around the result and re-shapes.
-  wm_->ResizeClient(client, desired);
+  resize_toward(desired);
   // The decoration above was measured on the pre-slot frame, which a narrow
   // client pads out to the title bar's minimum width — overstating the
   // decoration and leaving the grant short.  If the client got exactly what
@@ -63,17 +77,18 @@ void LayoutPolicy::ApplySlot(ManagedClient* client, const xbase::Rect& slot) {
   xbase::Size placed = client->frame->geometry().size();
   if (granted == desired &&
       (placed.width != slot.width || placed.height != slot.height)) {
-    desired = {std::max(1, slot.width - (placed.width - granted.width)),
-               std::max(1, slot.height - (placed.height - granted.height))};
-    wm_->ResizeClient(client, desired);
+    resize_toward({std::max(1, slot.width - (placed.width - granted.width)),
+                   std::max(1, slot.height - (placed.height - granted.height))});
   }
   // Hints may have held the client below the slot (a max-size-hinted client
   // keeps its hinted size): center the frame within its slot.
   placed = client->frame->geometry().size();
   xbase::Point origin = ViewportOrigin(client->screen, client->sticky);
-  wm_->MoveFrameTo(client,
-                   {origin.x + slot.x + std::max(0, (slot.width - placed.width) / 2),
-                    origin.y + slot.y + std::max(0, (slot.height - placed.height) / 2)});
+  xbase::Point target{origin.x + slot.x + std::max(0, (slot.width - placed.width) / 2),
+                      origin.y + slot.y + std::max(0, (slot.height - placed.height) / 2)};
+  if (client->frame->geometry().origin() != target) {
+    wm_->MoveFrameTo(client, target);
+  }
 }
 
 xbase::Point LayoutPolicy::PlaceFloating(
@@ -145,9 +160,11 @@ bool LayoutPolicy::DenySlotConfigure(ManagedClient* client,
       wm_->LowerClient(client);
     }
   }
-  // Geometry is slot-owned: re-assert the layout, which ends in a synthetic
-  // ConfigureNotify telling the client its actual geometry (ICCCM denial).
+  // Geometry is slot-owned: re-assert the layout.  The reflow notifies only
+  // the clients it moved, so answer the requester here with its actual
+  // geometry even when nothing changed (ICCCM 4.1.5 denial).
   Relayout(client->screen);
+  wm_->SendSyntheticConfigure(client);
   return true;
 }
 

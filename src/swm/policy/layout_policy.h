@@ -107,6 +107,7 @@ class LayoutPolicy {
   // a normal-state, non-internal, non-sticky, non-transient client.
   bool SlotManaged(const ManagedClient& client) const;
   // Eligible clients on a screen, in window-id (manage-stable) order.
+  // Clients whose window the server already destroyed are left out.
   std::vector<ManagedClient*> SlotClients(int screen) const;
 
   // The visible viewport: size, and its origin in frame-parent coordinates
@@ -117,7 +118,9 @@ class LayoutPolicy {
   // Resizes the client toward the slot interior (decoration subtracted,
   // WM_NORMAL_HINTS constraints applied by ResizeClient) and positions the
   // frame, centered when hints held the window below the slot size.  `slot`
-  // is in viewport coordinates.
+  // is in viewport coordinates.  Only what changes is applied: a client
+  // already at its constrained slot size and position costs no request and
+  // receives no ConfigureNotify.
   void ApplySlot(ManagedClient* client, const xbase::Rect& slot);
 
   // The classic swm placement: session geometry, then US/PPosition hints,
@@ -130,7 +133,8 @@ class LayoutPolicy {
   void ResetCascade(int screen) { cascade_cursor_.erase(screen); }
 
   // Shared ConfigureRequest treatment for slot-granting policies: honor
-  // stacking modes, deny geometry by re-asserting the client's slot.
+  // stacking modes, deny geometry by re-asserting the client's slot, and
+  // always answer the requester with a synthetic ConfigureNotify.
   bool DenySlotConfigure(ManagedClient* client,
                          const xproto::ConfigureRequestEvent& event);
 

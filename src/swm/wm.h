@@ -284,6 +284,9 @@ class WindowManager {
   void SaveGeometry(ManagedClient* client);
   void RestoreGeometry(ManagedClient* client);
   void SetSticky(ManagedClient* client, bool sticky);
+  // Tells the client its actual geometry, relative to its effective root
+  // (ICCCM 4.1.5): how a denied or unchanged ConfigureRequest is answered.
+  void SendSyntheticConfigure(ManagedClient* client);
   // Politely closes a client: WM_DELETE_WINDOW when the client speaks the
   // protocol, destroy otherwise (f.delete and the maximize policy's `close`).
   void CloseClient(ManagedClient* client);
@@ -393,7 +396,6 @@ class WindowManager {
   // `window` or into any cycle.
   xproto::WindowId BreakTransientCycle(xproto::WindowId window, xproto::WindowId owner);
   void UpdateSwmRootProperty(ManagedClient* client);
-  void SendSyntheticConfigure(ManagedClient* client);
   // Window the frames of this client should parent on (vdesk or root).
   xproto::WindowId FrameParent(int screen, bool sticky);
 

@@ -199,7 +199,7 @@ WindowId Display::RemoteCreate(const xproto::CreateWindowRequest& request) {
   }
   // The query round trip is the synchronization point: any error the create
   // raised is on the stream ahead of this reply.
-  std::optional<xproto::Reply> reply = RemoteRoundTrip(xproto::QueryClientWindowsRequest{});
+  std::optional<xproto::Reply> reply = RemoteRoundTrip(xproto::QueryLastCreatedRequest{});
   if (last_error_.has_value() &&
       (last_error_->sequence & 0xffff) == (create_sequence & 0xffff)) {
     return xproto::kNone;
@@ -207,13 +207,8 @@ WindowId Display::RemoteCreate(const xproto::CreateWindowRequest& request) {
   if (!reply.has_value()) {
     return xproto::kNone;
   }
-  const auto* r = std::get_if<xproto::ClientWindowsReply>(&*reply);
-  if (r == nullptr || r->windows.empty()) {
-    return xproto::kNone;
-  }
-  // Ids are minted monotonically and the reply is ascending: the newest
-  // window — ours — is last.
-  return r->windows.back();
+  const auto* r = std::get_if<xproto::LastCreatedReply>(&*reply);
+  return r != nullptr ? r->window : xproto::kNone;
 }
 
 bool Display::Issue(xproto::Request request) {

@@ -257,7 +257,7 @@ class Display {
   bool RemoteIssue(const xproto::Request& request);
   // Blocking (bounded) query round trip over the socket.
   std::optional<xproto::Reply> RemoteRoundTrip(const xproto::Request& request);
-  // CreateWindow + QueryClientWindows: the wire substitute for the
+  // CreateWindow + QueryLastCreated: the wire substitute for the
   // in-process DispatchResult::last_created_window.
   xproto::WindowId RemoteCreate(const xproto::CreateWindowRequest& request);
   // Dispatches one inbound frame: errors hit the error handler, events join

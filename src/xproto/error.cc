@@ -84,8 +84,8 @@ std::string RequestCodeName(RequestCode code) {
       return "TranslateCoordinates";
     case RequestCode::kQueryScreens:
       return "QueryScreens";
-    case RequestCode::kQueryClientWindows:
-      return "QueryClientWindows";
+    case RequestCode::kQueryLastCreated:
+      return "QueryLastCreated";
   }
   return "None";
 }

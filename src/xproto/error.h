@@ -56,12 +56,12 @@ enum class RequestCode : uint8_t {
   // Out-of-process connection-setup queries (docs/PROTOCOL.md
   // "Out-of-process operation").  Appended, same stability rule as above.
   kQueryScreens,
-  kQueryClientWindows,
+  kQueryLastCreated,
 };
 
 // Highest RequestCode value (wire decoders validate against this bound).
 inline constexpr uint8_t kMaxRequestCode =
-    static_cast<uint8_t>(RequestCode::kQueryClientWindows);
+    static_cast<uint8_t>(RequestCode::kQueryLastCreated);
 
 // One error report, delivered to the issuing client's error handler.  The
 // sequence number is per-connection and counts requests, so a handler can

@@ -229,7 +229,7 @@ WIRE_INFO(GetAtomNameRequest, kGetAtomName, kGetAtomName)
 WIRE_INFO(GetPropertyRequest, kGetProperty, kGetProperty)
 WIRE_INFO(TranslateCoordinatesRequest, kTranslateCoordinates, kTranslateCoordinates)
 WIRE_INFO(QueryScreensRequest, kQueryScreens, kQueryScreens)
-WIRE_INFO(QueryClientWindowsRequest, kQueryClientWindows, kQueryClientWindows)
+WIRE_INFO(QueryLastCreatedRequest, kQueryLastCreated, kQueryLastCreated)
 
 #undef WIRE_INFO
 
@@ -310,8 +310,8 @@ RequestCode RequestCodeForOpcode(uint8_t opcode) {
       return RequestCode::kTranslateCoordinates;
     case WireOpcode::kQueryScreens:
       return RequestCode::kQueryScreens;
-    case WireOpcode::kQueryClientWindows:
-      return RequestCode::kQueryClientWindows;
+    case WireOpcode::kQueryLastCreated:
+      return RequestCode::kQueryLastCreated;
   }
   return RequestCode::kNone;
 }
@@ -508,8 +508,8 @@ struct Encoder {
     w->I16(static_cast<int16_t>(r.point.y));
   }
   void operator()(const QueryScreensRequest&) { Frame(WireOpcode::kQueryScreens, 0); }
-  void operator()(const QueryClientWindowsRequest&) {
-    Frame(WireOpcode::kQueryClientWindows, 0);
+  void operator()(const QueryLastCreatedRequest&) {
+    Frame(WireOpcode::kQueryLastCreated, 0);
   }
 };
 
@@ -822,8 +822,8 @@ std::optional<Request> DecodePayload(WireOpcode opcode, uint8_t detail, WireRead
     case WireOpcode::kQueryScreens: {
       return QueryScreensRequest{};
     }
-    case WireOpcode::kQueryClientWindows: {
-      return QueryClientWindowsRequest{};
+    case WireOpcode::kQueryLastCreated: {
+      return QueryLastCreatedRequest{};
     }
   }
   return fail(ParseErrorCode::kBadOpcode, "opcode not implemented");
@@ -910,7 +910,7 @@ WIRE_REPLY_INFO(AtomNameReply, kGetAtomName)
 WIRE_REPLY_INFO(PropertyReply, kGetProperty)
 WIRE_REPLY_INFO(CoordinatesReply, kTranslateCoordinates)
 WIRE_REPLY_INFO(ScreensReply, kQueryScreens)
-WIRE_REPLY_INFO(ClientWindowsReply, kQueryClientWindows)
+WIRE_REPLY_INFO(LastCreatedReply, kQueryLastCreated)
 
 #undef WIRE_REPLY_INFO
 
@@ -993,13 +993,7 @@ struct ReplyEncoder {
       w->U16(0);
     }
   }
-  void operator()(const ClientWindowsReply& r) {
-    size_t count = std::min(r.windows.size(), kMaxReplyChildren);
-    w->U32(static_cast<uint32_t>(count));
-    for (size_t i = 0; i < count; ++i) {
-      w->U32(r.windows[i]);
-    }
-  }
+  void operator()(const LastCreatedReply& r) { w->U32(r.window); }
 };
 
 }  // namespace
@@ -1163,19 +1157,9 @@ std::optional<Reply> DecodeReplyPayload(WireOpcode opcode, WireReader& r,
       }
       return out;
     }
-    case WireOpcode::kQueryClientWindows: {
-      ClientWindowsReply out;
-      uint32_t count = r.U32();
-      if (r.ok() && count > kMaxReplyChildren) {
-        return fail(ParseErrorCode::kOversized, "window count over cap");
-      }
-      if (r.ok() && static_cast<uint64_t>(count) * 4 > r.remaining()) {
-        return fail(ParseErrorCode::kBadLength, "window list overruns frame");
-      }
-      out.windows.reserve(count);
-      for (uint32_t i = 0; i < count && r.ok(); ++i) {
-        out.windows.push_back(r.U32());
-      }
+    case WireOpcode::kQueryLastCreated: {
+      LastCreatedReply out;
+      out.window = r.U32();
       return out;
     }
     default:

@@ -185,11 +185,11 @@ enum class WireOpcode : uint8_t {
   kGetGeometry = 134,
   // Connection-setup queries for out-of-process clients (docs/PROTOCOL.md
   // "Out-of-process operation"): the screen table a remote Display caches at
-  // connect, and the issuing client's own window list (ascending id, newest
-  // last) — the wire substitute for the in-process DispatchResult's
+  // connect, and the window the issuing client's last CreateWindow made —
+  // the wire substitute for the in-process DispatchResult's
   // last_created_window.
   kQueryScreens = 135,
-  kQueryClientWindows = 136,
+  kQueryLastCreated = 136,
 };
 
 struct CreateWindowRequest {
@@ -384,14 +384,14 @@ struct TranslateCoordinatesRequest {
 };
 
 // Both out-of-process setup queries are payload-free: the screens table is
-// global, and QueryClientWindows is implicitly about the issuing client.
+// global, and QueryLastCreated is implicitly about the issuing client.
 struct QueryScreensRequest {
   friend bool operator==(const QueryScreensRequest&, const QueryScreensRequest&) = default;
 };
 
-struct QueryClientWindowsRequest {
-  friend bool operator==(const QueryClientWindowsRequest&,
-                         const QueryClientWindowsRequest&) = default;
+struct QueryLastCreatedRequest {
+  friend bool operator==(const QueryLastCreatedRequest&,
+                         const QueryLastCreatedRequest&) = default;
 };
 
 using Request = std::variant<
@@ -402,7 +402,7 @@ using Request = std::variant<
     SetCursorRequest, DrawRequest, ShapeRegionRequest, ShapeClearRequest, ShapeSelectRequest,
     GetWindowAttributesRequest, GetGeometryRequest, QueryTreeRequest, InternAtomRequest,
     GetAtomNameRequest, GetPropertyRequest, TranslateCoordinatesRequest,
-    QueryScreensRequest, QueryClientWindowsRequest>;
+    QueryScreensRequest, QueryLastCreatedRequest>;
 
 // Wire opcode / human-readable name / error-channel RequestCode of a request.
 WireOpcode RequestOpcode(const Request& request);
@@ -507,17 +507,18 @@ struct ScreensReply {
   friend bool operator==(const ScreensReply&, const ScreensReply&) = default;
 };
 
-// QueryClientWindows: every window the issuing client owns, ascending id.
-// Ids are minted monotonically, so the newest window is last — how a remote
-// client learns the id its CreateWindow produced.
-struct ClientWindowsReply {
-  std::vector<WindowId> windows;
-  friend bool operator==(const ClientWindowsReply&, const ClientWindowsReply&) = default;
+// QueryLastCreated: the window the issuing client's most recent
+// CreateWindow made (kNone if that create failed) — how a remote client
+// learns the id its CreateWindow produced.  A fixed 32-byte frame, however
+// many windows the client owns.
+struct LastCreatedReply {
+  WindowId window = kNone;
+  friend bool operator==(const LastCreatedReply&, const LastCreatedReply&) = default;
 };
 
 using Reply = std::variant<AttributesReply, GeometryReply, TreeReply, AtomReply,
                            AtomNameReply, PropertyReply, CoordinatesReply,
-                           ScreensReply, ClientWindowsReply>;
+                           ScreensReply, LastCreatedReply>;
 
 // Major opcode of the request a reply answers / human-readable name.
 WireOpcode ReplyOpcode(const Reply& reply);

@@ -223,6 +223,11 @@ bool Server::ApplyRequest(ClientId client, const Request& request,
         if constexpr (std::is_same_v<T, xproto::CreateWindowRequest>) {
           WindowId created = CreateWindow(client, r.parent, r.geometry, r.border_width,
                                           r.window_class, r.override_redirect);
+          // Remembered per connection, failure included, for
+          // QueryLastCreated.
+          if (ClientRec* rec = FindClient(client)) {
+            rec->last_created_window = created;
+          }
           if (created == xproto::kNone) {
             return false;
           }
@@ -423,13 +428,13 @@ bool Server::ApplyRequest(ClientId client, const Request& request,
           }
           EmitReply(client, reply);
           return true;
-        } else if constexpr (std::is_same_v<T, xproto::QueryClientWindowsRequest>) {
-          RequestGuard guard(this, client,
-                             xproto::RequestCode::kQueryClientWindows);
-          if (!guard.ok()) {
+        } else if constexpr (std::is_same_v<T, xproto::QueryLastCreatedRequest>) {
+          RequestGuard guard(this, client, xproto::RequestCode::kQueryLastCreated);
+          const ClientRec* rec = FindClient(client);
+          if (!guard.ok() || rec == nullptr) {
             return false;
           }
-          EmitReply(client, xproto::ClientWindowsReply{ClientWindows(client)});
+          EmitReply(client, xproto::LastCreatedReply{rec->last_created_window});
           return true;
         }
       },

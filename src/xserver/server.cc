@@ -900,16 +900,6 @@ std::optional<xbase::Point> Server::TranslateCoordinates(WindowId src, WindowId 
 
 bool Server::WindowExists(WindowId window) const { return Find(window) != nullptr; }
 
-std::vector<WindowId> Server::ClientWindows(ClientId client) const {
-  std::vector<WindowId> ids;
-  for (const auto& [id, rec] : windows_) {
-    if (rec.owner == client && !rec.destroyed) {
-      ids.push_back(id);
-    }
-  }
-  return ids;
-}
-
 bool Server::IsViewable(WindowId window) const {
   const WindowRec* win = Find(window);
   return win != nullptr && win->mapped && AncestorsMapped(*win);

@@ -229,10 +229,6 @@ class Server {
                                                    const xbase::Point& point) const;
   bool WindowExists(xproto::WindowId window) const;
   bool IsViewable(xproto::WindowId window) const;
-  // All windows a client created, ascending id (newest last — ids are minted
-  // monotonically).  The wire substitute for DispatchResult's
-  // last_created_window when the client lives in another process.
-  std::vector<xproto::WindowId> ClientWindows(xproto::ClientId client) const;
   // Position of the window's top-left corner in real-root coordinates.
   xbase::Point RootPosition(xproto::WindowId window) const;
 
@@ -333,6 +329,10 @@ class Server {
     // DispatchResult::reply_bytes.
     xproto::WireWriter outbound;
     uint64_t replies_sent = 0;
+    // What this connection's last dispatched CreateWindow made (kNone when
+    // it failed): the QueryLastCreated reply, the remote counterpart of
+    // DispatchResult::last_created_window.
+    xproto::WindowId last_created_window = xproto::kNone;
   };
 
   struct ActiveGrab {

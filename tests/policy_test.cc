@@ -44,6 +44,20 @@ class PolicyTest : public SwmTest {
   }
 
   xproto::WindowId Focus() { return wm_->display().GetInputFocus(); }
+
+  // Drains `app`'s event queue; returns the synthetic ConfigureNotifys the
+  // WM sent its window.
+  int DrainSyntheticConfigures(xlib::ClientApp& app) {
+    int synthetic = 0;
+    app.display().DrainEvents([&](const xproto::Event& event) {
+      const auto* configure = std::get_if<xproto::ConfigureNotifyEvent>(&event);
+      if (configure != nullptr && configure->window == app.window() &&
+          configure->synthetic) {
+        ++synthetic;
+      }
+    });
+    return synthetic;
+  }
 };
 
 // ---- Factory and selection --------------------------------------------------
@@ -125,6 +139,30 @@ TEST_F(PolicyTest, MaximizeDeniesClientGeometry) {
   // synthetic ConfigureNotify (ICCCM denial).
   EXPECT_EQ(Frame(*a), (xbase::Rect{0, 0, 200, 100}));
   EXPECT_GT(a->configure_notify_count(), notified_before);
+}
+
+// A denied move that changes nothing costs the rest of the slot population
+// nothing: the requester alone hears back, once, and no frame moves.
+TEST_F(PolicyTest, SlotDenialThatChangesNothingAnswersOnlyTheRequester) {
+  for (const char* policy : {"dynamic", "tiling"}) {
+    SCOPED_TRACE(policy);
+    StartWm(std::string("swm.layout.policy: ") + policy + "\n");
+    std::vector<std::unique_ptr<xlib::ClientApp>> apps;
+    for (const char* name : {"alpha", "beta", "gamma", "delta"}) {
+      apps.push_back(Spawn(name, {name, name}, {0, 0, 30, 10}));
+    }
+    std::vector<xbase::Rect> frames;
+    for (auto& app : apps) {
+      frames.push_back(Frame(*app));
+      DrainSyntheticConfigures(*app);
+    }
+    apps[1]->RequestMoveResize({5, 5, 20, 8});
+    wm_->ProcessEvents();
+    for (size_t i = 0; i < apps.size(); ++i) {
+      EXPECT_EQ(DrainSyntheticConfigures(*apps[i]), i == 1 ? 1 : 0) << "client " << i;
+      EXPECT_EQ(Frame(*apps[i]), frames[i]) << "client " << i;
+    }
+  }
 }
 
 TEST_F(PolicyTest, MaximizeTransientsKeepFloatingSemantics) {
@@ -314,6 +352,79 @@ TEST_F(PolicyTest, MaxSizeHintedClientCentersInItsSlot) {
   xbase::Rect frame = Frame(*app);
   EXPECT_EQ(frame.x, (200 - frame.width) / 2);
   EXPECT_EQ(frame.y, (100 - frame.height) / 2);
+}
+
+// The reflow skips clients already at their slot size, but the test is the
+// *constrained* request against the current size: a new max-size hint under
+// an unchanged slot must still shrink and re-centre the client.
+TEST_F(PolicyTest, SlotReflowReconstrainsAfterHintsChange) {
+  StartWm("swm.layout.policy: dynamic\n");
+  auto a = Spawn("alpha", {"alpha", "Alpha"}, {0, 0, 30, 10});
+  auto b = Spawn("beta", {"beta", "Beta"}, {0, 0, 30, 10});
+  ASSERT_EQ(Frame(*b), (xbase::Rect{100, 0, 100, 100}));
+  xproto::SizeHints hints;
+  hints.flags = xproto::kPSize | xproto::kPMaxSize;
+  hints.width = 40;
+  hints.height = 20;
+  hints.max_width = 40;
+  hints.max_height = 20;
+  xlib::SetWmNormalHints(&b->display(), b->window(), hints);
+  wm_->ProcessEvents();
+  // A denied request from the other client triggers the next reflow; b's
+  // slot is the same as before.
+  a->RequestMoveResize({5, 5, 20, 8});
+  wm_->ProcessEvents();
+  EXPECT_EQ(server_->GetGeometry(b->window())->size(), (xbase::Size{40, 20}));
+  xbase::Rect frame = Frame(*b);
+  EXPECT_EQ(frame.x, 100 + (100 - frame.width) / 2);
+  EXPECT_EQ(frame.y, (100 - frame.height) / 2);
+  EXPECT_EQ(Frame(*a), (xbase::Rect{0, 0, 100, 100}));
+}
+
+// A retitle earlier in the same batch leaves the frame's layout pending; the
+// reflow must measure the decoration on the laid-out frame, exactly as if
+// the retitle had been flushed in a batch of its own.
+TEST_F(PolicyTest, ReflowAfterRetitleInTheSameBatchMatchesSeparateBatches) {
+  auto run = [&](bool same_batch) {
+    StartWm("swm.layout.policy: dynamic\n");
+    // 16 clients: 50x25 slots, narrower than a long title bar.
+    std::vector<std::unique_ptr<xlib::ClientApp>> apps;
+    for (int i = 0; i < 16; ++i) {
+      apps.push_back(Spawn("c", {"c", "C"}, {0, 0, 30, 10}));
+    }
+    xlib::ClientApp* a = apps[0].get();
+    xlib::ClientApp* b = apps[1].get();
+    xlib::SetWmName(&b->display(), b->window(), std::string(40, 'w'));
+    if (!same_batch) {
+      wm_->ProcessEvents();
+    }
+    a->RequestMoveResize({5, 5, 20, 8});
+    wm_->ProcessEvents();
+    return std::make_pair(Frame(*b), server_->GetGeometry(b->window())->size());
+  };
+  EXPECT_EQ(run(/*same_batch=*/true), run(/*same_batch=*/false));
+}
+
+// A reflow that runs while a slot client's DestroyNotify is still queued in
+// the same batch must not send the dead window a request.
+TEST_F(PolicyTest, ReflowSkipsClientsDestroyedEarlierInTheBatch) {
+  StartWm("swm.layout.policy: dynamic\n");
+  auto a = Spawn("alpha", {"alpha", "Alpha"}, {0, 0, 30, 10});
+  auto b = Spawn("beta", {"beta", "Beta"}, {0, 0, 30, 10});
+  uint64_t errors_before = wm_->x_error_count();
+  xlib::ClientAppConfig config;
+  config.name = "gamma";
+  config.wm_class = {"gamma", "Gamma"};
+  config.command = {"gamma"};
+  config.geometry = {0, 0, 30, 10};
+  xlib::ClientApp c(server_.get(), config);
+  c.Map();  // Its manage reflows everyone, ahead of b's DestroyNotify.
+  b->display().DestroyWindow(b->window());
+  wm_->ProcessEvents();
+  EXPECT_EQ(wm_->x_error_count(), errors_before);
+  EXPECT_EQ(wm_->FindClient(b->window()), nullptr);
+  EXPECT_EQ(Frame(*a), (xbase::Rect{0, 0, 100, 100}));
+  EXPECT_EQ(Frame(c), (xbase::Rect{100, 0, 100, 100}));
 }
 
 TEST_F(PolicyTest, ResizeIncrementHintsHonoredInTilingSlots) {

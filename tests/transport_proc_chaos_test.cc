@@ -96,7 +96,7 @@ xproto::Request SurvivorRequest(uint32_t seed, int idx, int request_index,
     case 2:
       return xproto::QueryScreensRequest{};
     default:
-      return xproto::QueryClientWindowsRequest{};
+      return xproto::QueryLastCreatedRequest{};
   }
 }
 

@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "src/base/logging.h"
 #include "src/swm/wm.h"
 #include "src/xlib/display.h"
 #include "src/xproto/trace.h"
@@ -67,6 +68,18 @@ std::optional<xproto::Reply> HostRoundTrip(WireHost* host, WireClientEndpoint* e
       },
       /*budget_ms=*/2000);
   return out;
+}
+
+// The top-level windows `client` owns (these tests create nothing deeper).
+std::vector<WindowId> OwnedTopLevels(const Server& server, xproto::ClientId client) {
+  std::vector<WindowId> owned;
+  std::optional<QueryTreeReply> tree = server.QueryTree(server.RootWindow(0));
+  for (WindowId window : tree->children) {
+    if (server.FindWindowForTest(window)->owner == client) {
+      owned.push_back(window);
+    }
+  }
+  return owned;
 }
 
 void FlushAll(WireClientEndpoint* ep) {
@@ -200,7 +213,7 @@ TEST(WireHost, ForkedDisplayRoundTripsWithZeroFallbacks) {
   ASSERT_EQ(host.connection_count(), 1u);
   xproto::ClientId client = host.clients()[0];
   EXPECT_TRUE(server.HasClient(client));
-  std::vector<WindowId> owned = server.ClientWindows(client);
+  std::vector<WindowId> owned = OwnedTopLevels(server, client);
   EXPECT_EQ(owned.size(), 2u);
   Connection* conn = host.FindConnection(client);
   ASSERT_NE(conn, nullptr);
@@ -226,6 +239,49 @@ TEST(WireHost, ForkedDisplayRoundTripsWithZeroFallbacks) {
   for (WindowId w : owned) {
     EXPECT_FALSE(server.WindowExists(w));
   }
+}
+
+// A remote CreateWindow learns its id from the QueryLastCreated reply: a
+// refused create must come back kNone, and the next good create its own
+// fresh id — never a window an earlier create made.
+TEST(WireHost, ForkedDisplayCreateAfterBadParentGetsItsOwnId) {
+  Server server;
+  std::string path = UniqueSocketPath("lastcreated");
+  WireHost host(&server, path);
+  ASSERT_TRUE(host.ok());
+
+  pid_t child = ::fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) {
+    xbase::SetMinLogSeverity(xbase::LogSeverity::kFatal);  // The BadWindow.
+    xlib::Display display(path, "lastcreated-child");
+    if (!display.Connected()) {
+      ::_exit(kChildNoDisplay);
+    }
+    WindowId root = display.RootWindow(0);
+    WindowId first = display.CreateWindow(root, {1, 2, 30, 20});
+    WindowId bad = display.CreateWindow(/*parent=*/0x7ffffff0, {0, 0, 10, 10});
+    WindowId second = display.CreateWindow(root, {40, 3, 11, 12});
+    if (first == xproto::kNone || bad != xproto::kNone || second == xproto::kNone ||
+        second <= first) {
+      ::_exit(kChildCreateFailed);
+    }
+    if (display.GetGeometry(second) != std::optional<xbase::Rect>({40, 3, 11, 12})) {
+      ::_exit(kChildGeometryMismatch);
+    }
+    if (display.ErrorCount() != 1) {
+      ::_exit(kChildSawErrors);  // Exactly the bad parent's BadWindow.
+    }
+    ::_exit(kChildOk);
+  }
+
+  int status = 0;
+  ASSERT_TRUE(host.RunUntil([&]() { return ::waitpid(child, &status, WNOHANG) == child; },
+                            /*budget_ms=*/10000))
+      << "child never finished its session";
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), kChildOk) << "child failed at step "
+                                           << WEXITSTATUS(status);
 }
 
 // ---- SIGKILL mid-request ---------------------------------------------------
@@ -254,8 +310,8 @@ TEST(WireHost, SigkillMidRequestClosesOnlyVictim) {
   std::optional<xproto::Reply> before =
       HostRoundTrip(&host, &survivor, xproto::GetGeometryRequest{.window = root});
   ASSERT_TRUE(before.has_value());
-  ASSERT_EQ(server.ClientWindows(survivor_id).size(), 1u);
-  WindowId survivor_win = server.ClientWindows(survivor_id)[0];
+  ASSERT_EQ(OwnedTopLevels(server, survivor_id).size(), 1u);
+  WindowId survivor_win = OwnedTopLevels(server, survivor_id)[0];
 
   // The victim: a forked process killed with a partial frame on the wire.
   pid_t victim_pid = ::fork();
@@ -300,7 +356,7 @@ TEST(WireHost, SigkillMidRequestClosesOnlyVictim) {
     }
   }
   EXPECT_TRUE(victim_charged) << "mid-frame death must charge the ledger";
-  EXPECT_EQ(server.ClientWindows(survivor_id).size(), 1u);
+  EXPECT_EQ(OwnedTopLevels(server, survivor_id).size(), 1u);
   std::vector<WindowId> root_children = server.QueryTree(root)->children;
   EXPECT_EQ(root_children, std::vector<WindowId>{survivor_win});
 

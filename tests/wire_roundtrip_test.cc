@@ -128,7 +128,7 @@ std::vector<Request> AllRequestExemplars() {
   all.push_back(TranslateCoordinatesRequest{
       .src = 24, .dst = 25, .point = {-kMaxCoordinate, kMaxCoordinate}});
   all.push_back(QueryScreensRequest{});
-  all.push_back(QueryClientWindowsRequest{});
+  all.push_back(QueryLastCreatedRequest{});
   return all;
 }
 
@@ -513,12 +513,9 @@ std::vector<Reply> AllReplyExemplars() {
   all.push_back(ScreensReply{});
   all.push_back(ScreensReply{.screens = {{.root = 1, .width = 80, .height = 24, .monochrome = true},
                                          {.root = 2, .width = 65535, .height = 1}}});
-  all.push_back(ClientWindowsReply{});
-  std::vector<WindowId> owned(300);
-  for (size_t i = 0; i < owned.size(); ++i) {
-    owned[i] = static_cast<WindowId>(i * 3 + 2);
-  }
-  all.push_back(ClientWindowsReply{.windows = owned});
+  all.push_back(LastCreatedReply{});  // kNone: the last create failed.
+  all.push_back(LastCreatedReply{.window = 0x12345678u});
+  all.push_back(LastCreatedReply{.window = 0xFFFFFFFFu});
   return all;
 }
 
@@ -615,6 +612,32 @@ TEST(WireReplyRejects, ExtraLengthDisagreesWithPayload) {
   ParseError error;
   EXPECT_EQ(DecodeReply(bytes, &decoded, &error), 0u);
   EXPECT_EQ(error.code, ParseErrorCode::kBadLength);
+}
+
+// QueryLastCreated answers with one id in the fixed 32-byte frame: any
+// shorter frame is truncated, any longer one is a length lie, and an
+// extra-length beyond the reply cap is oversized.
+TEST(WireReplyRejects, LastCreatedReplyIsExactlyOneFixedFrame) {
+  std::vector<uint8_t> bytes = EncodeReplyBytes(LastCreatedReply{.window = 77}, 3);
+  ASSERT_EQ(bytes.size(), kMinReplyBytes);
+  Reply decoded;
+  ParseError error;
+  EXPECT_EQ(DecodeReply(std::span(bytes.data(), bytes.size() - 1), &decoded, &error), 0u);
+  EXPECT_EQ(error.code, ParseErrorCode::kTruncated);
+
+  std::vector<uint8_t> padded = bytes;
+  padded.resize(bytes.size() + 4, 0);
+  padded[4] = 1;  // One 4-byte unit past the floor, carrying nothing.
+  EXPECT_EQ(DecodeReply(padded, &decoded, &error), 0u);
+  EXPECT_EQ(error.code, ParseErrorCode::kBadLength);
+
+  std::vector<uint8_t> oversized = bytes;
+  oversized[4] = oversized[5] = oversized[6] = oversized[7] = 0xFF;
+  EXPECT_EQ(DecodeReply(oversized, &decoded, &error), 0u);
+  EXPECT_EQ(error.code, ParseErrorCode::kOversized);
+
+  ASSERT_EQ(DecodeReply(bytes, &decoded, &error), kMinReplyBytes);
+  EXPECT_TRUE(decoded == Reply(LastCreatedReply{.window = 77}));
 }
 
 TEST(WireReplyRejects, BadEnumValuesRejected) {

@@ -48,6 +48,16 @@ UBSAN_OPTIONS="print_stacktrace=1:halt_on_error=1" \
 ASAN_OPTIONS="detect_leaks=1" \
   ctest --test-dir "$BUILD" --output-on-failure -j "$(nproc)" -L policy
 
+# Perf stage: every ctest target labeled `perf` — structural work-count
+# gates at two population sizes: an unchanged slot reflow issues no request
+# and no event, a denied move answers only its requester, and the
+# QueryLastCreated reply is one fixed frame however many windows the client
+# owns.  They count work and never read a clock, so they hold under the
+# sanitizers as well as in a release build.
+UBSAN_OPTIONS="print_stacktrace=1:halt_on_error=1" \
+ASAN_OPTIONS="detect_leaks=1" \
+  ctest --test-dir "$BUILD" --output-on-failure -j "$(nproc)" -L perf
+
 # Transport-fault stage: the duplex transport suites, explicitly.  The
 # framed-connection unit tests (reassembly, backpressure, lifecycle,
 # kill-mid-request) and the 24-seed transport chaos storm — wire mutations
@@ -106,4 +116,4 @@ TSAN_OPTIONS="halt_on_error=1" \
 TSAN_OPTIONS="halt_on_error=1" \
   ctest --test-dir "$TSAN_BUILD" --output-on-failure -j "$(nproc)" -L transport-proc
 
-echo "check.sh: all tests passed under ASan+UBSan (including the chaos/fuzz and transport-proc labels) and the worker pool + out-of-process transport are TSan-clean"
+echo "check.sh: all tests passed under ASan+UBSan (including the chaos/fuzz, perf and transport-proc labels) and the worker pool + out-of-process transport are TSan-clean"

@@ -185,7 +185,23 @@ int main(int argc, char** argv) {
       }
       LLVMFuzzerTestOneInput(bytes.data(), bytes.size());
     }
-    std::printf("fuzz_wire: 50000 seeded-random inputs, no crashes\n");
+    // Uniform bytes almost never form a reply header, so sweep one for every
+    // opcode (the fixed-size QueryLastCreated reply included) over garbage
+    // payloads of 32..44 bytes, length field honest or not.
+    for (int opcode = 0; opcode < 256; ++opcode) {
+      for (size_t size = 32; size <= 44; size += 4) {
+        std::vector<uint8_t> frame(size);
+        for (uint8_t& b : frame) {
+          b = static_cast<uint8_t>(rng.Next() % 256);
+        }
+        frame[0] = 1;
+        frame[1] = static_cast<uint8_t>(opcode);
+        frame[4] = rng.Next() % 2 == 0 ? static_cast<uint8_t>((size - 32) / 4) : frame[4];
+        frame[5] = frame[6] = frame[7] = 0;
+        LLVMFuzzerTestOneInput(frame.data(), frame.size());
+      }
+    }
+    std::printf("fuzz_wire: 50000 seeded-random inputs + reply-header sweep, no crashes\n");
   } else {
     std::printf("fuzz_wire: replayed %zu corpus file(s), no crashes\n", corpus_files);
   }
