@@ -146,9 +146,12 @@ bool Display::RemoteIssue(const xproto::Request& request) {
   if (endpoint_ == nullptr || !endpoint_->open()) {
     return false;
   }
+  if (!endpoint_->QueueRequest(request)) {
+    ++wire_stats_.refused_requests;
+    return false;
+  }
   ++wire_stats_.wire_requests;
   ++remote_sequence_;
-  endpoint_->QueueRequest(request);
   // Fire-and-forget, as in real Xlib: a failure surfaces later as an X
   // error frame.  The opportunistic drain keeps the inbound stream moving.
   endpoint_->Flush();
@@ -160,10 +163,13 @@ std::optional<xproto::Reply> Display::RemoteRoundTrip(const xproto::Request& req
   if (endpoint_ == nullptr || !endpoint_->open()) {
     return std::nullopt;
   }
+  if (!endpoint_->QueueRequest(request)) {
+    ++wire_stats_.refused_requests;
+    return std::nullopt;
+  }
   ++wire_stats_.wire_requests;
   uint64_t sequence = ++remote_sequence_;
   int want = static_cast<int>(sequence & 0xffff);
-  endpoint_->QueueRequest(request);
   int64_t deadline = xbase::EventLoop::NowMs() + kRemoteRoundTripMs;
   std::optional<xproto::Reply> reply;
   for (;;) {
@@ -211,40 +217,45 @@ WindowId Display::RemoteCreate(const xproto::CreateWindowRequest& request) {
   return r != nullptr ? r->window : xproto::kNone;
 }
 
+std::optional<xserver::Server::DispatchResult> Display::Dispatch(
+    const xproto::Request& request) const {
+  std::vector<uint8_t> bytes = xproto::EncodeRequestBytes(request);
+  if (bytes.empty()) {
+    ++wire_stats_.refused_requests;
+    return std::nullopt;
+  }
+  ++wire_stats_.wire_requests;
+  return server_->DispatchBytes(client_, bytes);
+}
+
 bool Display::Issue(xproto::Request request) {
   if (remote()) {
     return RemoteIssue(request);
   }
-  ++wire_stats_.wire_requests;
-  xserver::Server::DispatchResult result =
-      server_->DispatchBytes(client_, xproto::EncodeRequestBytes(request));
-  return result.requests_dispatched == 1 && result.requests_failed == 0 &&
-         result.parse_errors == 0;
+  std::optional<xserver::Server::DispatchResult> result = Dispatch(request);
+  return result.has_value() && result->requests_dispatched == 1 &&
+         result->requests_failed == 0 && result->parse_errors == 0;
 }
 
 xproto::WindowId Display::IssueCreate(xproto::CreateWindowRequest request) {
   if (remote()) {
     return RemoteCreate(request);
   }
-  ++wire_stats_.wire_requests;
-  xserver::Server::DispatchResult result =
-      server_->DispatchBytes(client_, xproto::EncodeRequestBytes(request));
-  return result.last_created_window;
+  std::optional<xserver::Server::DispatchResult> result = Dispatch(request);
+  return result.has_value() ? result->last_created_window : xproto::kNone;
 }
 
 std::optional<xproto::Reply> Display::RoundTrip(xproto::Request request) const {
   if (remote()) {
     return const_cast<Display*>(this)->RemoteRoundTrip(request);
   }
-  ++wire_stats_.wire_requests;
-  xserver::Server::DispatchResult result =
-      server_->DispatchBytes(client_, xproto::EncodeRequestBytes(request));
-  if (result.reply_bytes.empty()) {
+  std::optional<xserver::Server::DispatchResult> result = Dispatch(request);
+  if (!result.has_value() || result->reply_bytes.empty()) {
     return std::nullopt;  // The server raised an X error instead of replying.
   }
   xproto::Reply reply;
   xproto::ParseError error;
-  if (xproto::DecodeReply(result.reply_bytes, &reply, &error) == 0) {
+  if (xproto::DecodeReply(result->reply_bytes, &reply, &error) == 0) {
     ++wire_stats_.reply_parse_errors;
     XB_LOG(Warning) << "reply decode failed: " << error.detail;
     return std::nullopt;

@@ -101,6 +101,10 @@ class Display {
     uint64_t wire_replies = 0;       // Reply frames decoded back.
     uint64_t wire_fallbacks = 0;     // Wire-mode calls with no wire encoding.
     uint64_t reply_parse_errors = 0; // Reply frames that failed to decode.
+    // Requests the encoder refused because the server's decoder would reject
+    // them (a count over its cap, a frame over kMaxRequestBytes): the call
+    // fails locally, sending no byte and using no sequence number.
+    uint64_t refused_requests = 0;
   };
   const WireStats& wire_stats() const { return wire_stats_; }
 
@@ -235,6 +239,9 @@ class Display {
   bool Draw(xproto::WindowId window, xserver::DrawOp op);
 
  private:
+  // Encodes `request` and dispatches its frame in-process; nullopt (counted
+  // in wire_stats().refused_requests) when the encoder refuses it.
+  std::optional<xserver::Server::DispatchResult> Dispatch(const xproto::Request& request) const;
   // Wire-mode funnel: encodes `request` and dispatches the bytes.  Returns
   // true when the one frame parsed and executed cleanly.
   bool Issue(xproto::Request request);

@@ -309,39 +309,15 @@ std::unique_ptr<ByteChannel> ConnectSocket(const std::string& path) {
 // ---- Frame reassembly -------------------------------------------------------
 
 std::optional<size_t> FrameBytesAtHead(FrameStream stream, std::span<const uint8_t> head) {
-  if (stream == FrameStream::kRequests) {
-    if (head.size() < 4) {
-      return std::nullopt;
-    }
-    size_t frame =
-        (static_cast<size_t>(head[2]) | static_cast<size_t>(head[3]) << 8) * 4;
-    // A lying length field (too small or over the cap) is surrendered as a
-    // header-sized pseudo-frame so the request decoder rejects it; waiting
-    // for bytes that can never validly arrive would hang the stream.
-    if (frame < 4 || frame > kMaxRequestBytes) {
-      return 4;
-    }
-    return frame;
-  }
-  // Server→client: errors (0) and events (>= 2) are fixed 32-byte frames;
-  // replies (1) carry a u32 extra-length at offset 4.
-  if (head.empty()) {
+  // A lying length field comes back as a header-sized pseudo-frame so the
+  // decoder rejects it; waiting for bytes that can never validly arrive
+  // would hang the stream.
+  size_t frame = stream == FrameStream::kRequests ? RequestFrameBytes(head)
+                                                  : ServerFrameBytes(head);
+  if (frame == 0) {
     return std::nullopt;
   }
-  if (head[0] != 1) {
-    return kEventWireBytes;
-  }
-  if (head.size() < 8) {
-    return std::nullopt;
-  }
-  uint32_t extra = 0;
-  for (int i = 3; i >= 0; --i) {
-    extra = extra << 8 | head[4 + static_cast<size_t>(i)];
-  }
-  if (extra > (kMaxReplyBytes - kMinReplyBytes) / 4) {
-    return 8;  // Oversized lie: surrender the header for DecodeReply to reject.
-  }
-  return kMinReplyBytes + static_cast<size_t>(extra) * 4;
+  return frame;
 }
 
 FrameReassembler::FrameReassembler(FrameStream stream, size_t buffer_cap)
@@ -420,9 +396,10 @@ std::vector<uint8_t> FrameReassembler::TakeFrames() {
 WireClientEndpoint::WireClientEndpoint(std::unique_ptr<ByteChannel> channel)
     : channel_(std::move(channel)) {}
 
-void WireClientEndpoint::QueueRequest(const Request& request) {
+bool WireClientEndpoint::QueueRequest(const Request& request) {
   std::vector<uint8_t> bytes = EncodeRequestBytes(request);
   QueueBytes(bytes);
+  return !bytes.empty();
 }
 
 void WireClientEndpoint::QueueBytes(std::span<const uint8_t> bytes) {

@@ -131,8 +131,9 @@ enum class FrameStream : uint8_t {
 };
 
 // Size in bytes of the frame whose header starts `head`, or nullopt if not
-// enough bytes have arrived to know.  A length field naming an oversized or
-// undersized frame yields the *header* size so the decoder sees (and
+// enough bytes have arrived to know: the stream's rule from wire.h
+// (RequestFrameBytes / ServerFrameBytes).  A length field naming an oversized
+// or undersized frame yields the *header* size so the decoder sees (and
 // rejects) the lie instead of the reassembler waiting forever.
 std::optional<size_t> FrameBytesAtHead(FrameStream stream, std::span<const uint8_t> head);
 
@@ -177,7 +178,9 @@ class WireClientEndpoint {
  public:
   explicit WireClientEndpoint(std::unique_ptr<ByteChannel> channel);
 
-  void QueueRequest(const Request& request);
+  // Queues the request's frame; false (nothing queued) when the encoder
+  // refuses it (wire.h EncodeRequest).
+  bool QueueRequest(const Request& request);
   void QueueBytes(std::span<const uint8_t> bytes);
   // Writes as much of the queue as the channel accepts.
   IoStatus Flush();

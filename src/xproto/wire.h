@@ -1,6 +1,15 @@
 // X11 binary wire encoding for the request/event/error subset this
 // reproduction implements (docs/PROTOCOL.md).
 //
+// One description per message: wire.cc states each request, reply and
+// event's layout once, as a function template `Fields(io, message)` over the
+// Io type — field order, every count's cap, every enum's range, every
+// mask-conditional slot — and runs that one description as the encoder, the
+// decoder and the reply clamp.  One table row per message gives its wire
+// code, error-channel RequestCode and name.  Encoder and decoder therefore
+// cannot drift apart: EncodeRequest refuses exactly what DecodeRequest would
+// reject.
+//
 // Built adversarial-input-first: the decoder assumes every byte was written
 // by a hostile client.  WireReader is a zero-copy, bounds-checked cursor —
 // it never reads past the buffer it was given, and any overrun attempt
@@ -125,9 +134,9 @@ class WireWriter {
   void String(const std::string& s);  // Raw bytes, no count prefix.
   // Zero padding up to the next 4-byte boundary.
   void AlignPad();
-  // Overwrites 2 already-written bytes (length/sequence back-patching).
+  // Overwrite already-written bytes (header and length back-patching).
+  void PatchU8(size_t offset, uint8_t v) { bytes_[offset] = v; }
   void PatchU16(size_t offset, uint16_t v);
-  // Overwrites 4 already-written bytes (reply length back-patching).
   void PatchU32(size_t offset, uint32_t v);
 
   // Opens a request frame: writes opcode/detail, reserves the length field.
@@ -140,6 +149,8 @@ class WireWriter {
   std::span<const uint8_t> span() const { return bytes_; }
   std::vector<uint8_t> Take() { return std::move(bytes_); }
   void Clear() { bytes_.clear(); }
+  // Drops everything written after the first `size` bytes.
+  void Truncate(size_t size) { bytes_.resize(size); }
 
  private:
   std::vector<uint8_t> bytes_;
@@ -412,11 +423,31 @@ RequestCode RequestCodeOf(const Request& request);
 // decoded into a Request).  kNone for unknown opcodes.
 RequestCode RequestCodeForOpcode(uint8_t opcode);
 
+// ---- Framing ----------------------------------------------------------------
+//
+// The one frame-length rule per stream, shared by the decoders, the stream
+// reassembler and the fault-mutation walker.  Each returns the size of the
+// frame at the front of `head`, from its header alone: 0 while the header is
+// incomplete, else the size the header declares.  A header that declares an
+// impossible size (a request under its own 4 bytes or over kMaxRequestBytes,
+// a reply over kMaxReplyBytes) yields the header's own size instead — a
+// pseudo-frame the decoder rejects — and the ParseErrorCode it earns in
+// `*lie`.
+size_t RequestFrameBytes(std::span<const uint8_t> head,
+                         std::optional<ParseErrorCode>* lie = nullptr);
+// Server-to-client: errors (first byte 0) and events (>= 2) are fixed 32-byte
+// frames; replies (1) carry a u32 extra-length at offset 4.
+size_t ServerFrameBytes(std::span<const uint8_t> head,
+                        std::optional<ParseErrorCode>* lie = nullptr);
+
 // ---- Request encode/decode --------------------------------------------------
 
-// Appends one request frame to `writer`.
-void EncodeRequest(const Request& request, WireWriter* writer);
-// Convenience: one request as a fresh byte vector.
+// Appends one request frame to `writer` and returns true — or, for a request
+// DecodeRequest would reject (a count over its cap or its wire field, an enum
+// out of range, a frame over kMaxRequestBytes), writes nothing and returns
+// false.
+bool EncodeRequest(const Request& request, WireWriter* writer);
+// Convenience: one request as a fresh byte vector (empty when refused).
 std::vector<uint8_t> EncodeRequestBytes(const Request& request);
 
 // Decodes the frame at the front of `buffer`.  On success fills `*out` and

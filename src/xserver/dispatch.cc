@@ -45,13 +45,22 @@ xproto::ErrorCode ErrorForParse(ParseErrorCode code) {
   return xproto::ErrorCode::kBadLength;
 }
 
-// Opcodes a scramble may rewrite to: parsing an old payload under a
-// different valid opcode's rules probes far more decoder paths than pure
-// garbage does.
-constexpr uint8_t kValidOpcodes[] = {1,  3,  4,  6,  7,  8,  10, 12,  14,  15,
-                                     16, 17, 18, 19, 20, 25, 28, 29,  40,  42,
-                                     61, 128, 129, 130, 131, 132, 133, 134, 135,
-                                     136};
+// Opcodes a scramble may rewrite to — every opcode the codec implements, in
+// ascending order: parsing an old payload under a different valid opcode's
+// rules probes far more decoder paths than pure garbage does.
+const std::vector<uint8_t>& ValidOpcodes() {
+  static const std::vector<uint8_t> opcodes = [] {
+    std::vector<uint8_t> out;
+    for (int opcode = 0; opcode < 256; ++opcode) {
+      xproto::RequestCode code = xproto::RequestCodeForOpcode(static_cast<uint8_t>(opcode));
+      if (code != xproto::RequestCode::kNone) {
+        out.push_back(static_cast<uint8_t>(opcode));
+      }
+    }
+    return out;
+  }();
+  return opcodes;
+}
 
 }  // namespace
 
@@ -73,7 +82,7 @@ void Server::MutateFrame(std::vector<uint8_t>* frame, size_t frame_start) {
     uint8_t replacement =
         fault_rng_.Roll(500)
             ? static_cast<uint8_t>(fault_rng_.Next() % 256)
-            : kValidOpcodes[fault_rng_.Next() % std::size(kValidOpcodes)];
+            : ValidOpcodes()[fault_rng_.Next() % ValidOpcodes().size()];
     (*frame)[frame_start] = replacement;
     ++fault_counters_.scrambled_opcodes;
   }
@@ -121,11 +130,8 @@ Server::DispatchResult Server::DispatchBytes(ClientId client,
   if (wire_faults) {
     mutated.reserve(bytes.size());
     size_t cursor = 0;
-    while (bytes.size() - cursor >= 4) {
-      size_t frame_len = (static_cast<size_t>(bytes[cursor + 2]) |
-                          static_cast<size_t>(bytes[cursor + 3]) << 8) *
-                         4;
-      frame_len = std::clamp(frame_len, size_t{4}, bytes.size() - cursor);
+    while (size_t frame_len = xproto::RequestFrameBytes(bytes.subspan(cursor))) {
+      frame_len = std::min(frame_len, bytes.size() - cursor);
       size_t start = mutated.size();
       mutated.insert(mutated.end(), bytes.begin() + cursor, bytes.begin() + cursor + frame_len);
       MutateFrame(&mutated, start);

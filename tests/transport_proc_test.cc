@@ -141,6 +141,9 @@ enum ChildStatus : int {
   kChildSawErrors = 16,
   kChildHadFallbacks = 17,
   kChildNoReplies = 18,
+  kChildOversizedAccepted = 19,
+  kChildRefusalMiscounted = 20,
+  kChildDisconnected = 21,
 };
 
 TEST(WireHost, ForkedDisplayRoundTripsWithZeroFallbacks) {
@@ -279,6 +282,81 @@ TEST(WireHost, ForkedDisplayCreateAfterBadParentGetsItsOwnId) {
   ASSERT_TRUE(host.RunUntil([&]() { return ::waitpid(child, &status, WNOHANG) == child; },
                             /*budget_ms=*/10000))
       << "child never finished its session";
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), kChildOk) << "child failed at step "
+                                           << WEXITSTATUS(status);
+}
+
+// An honest remote client asking for more than the server's decoder accepts
+// is refused on its own side: a 20,000-byte ChangeProperty (a frame over
+// kMaxRequestBytes) returns false without sending a byte or spending a
+// sequence number, the connection stays open, and the next round trip is
+// answered under the right sequence number.
+TEST(WireHost, ForkedDisplayRefusesOversizedRequestAndStaysOpen) {
+  Server server;
+  std::string path = UniqueSocketPath("oversized");
+  WireHost host(&server, path);
+  ASSERT_TRUE(host.ok());
+
+  SyncPipe ready;
+  SyncPipe go;
+  pid_t child = ::fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) {
+    ready.CloseRead();
+    go.CloseWrite();
+    xlib::Display display(path, "oversized-child");
+    if (!display.Connected()) {
+      ::_exit(kChildNoDisplay);
+    }
+    WindowId window = display.CreateWindow(display.RootWindow(0), {1, 2, 30, 20});
+    xproto::AtomId atom = display.InternAtom("SWM_BIG");
+    if (window == xproto::kNone || atom == 0) {
+      ::_exit(kChildCreateFailed);
+    }
+    uint64_t sent = display.RequestCount();
+    if (display.ChangeProperty(window, atom, atom, 8, xserver::PropMode::kReplace,
+                               std::vector<uint8_t>(20000, 0x5A))) {
+      ::_exit(kChildOversizedAccepted);
+    }
+    if (display.RequestCount() != sent || display.wire_stats().refused_requests != 1) {
+      ::_exit(kChildRefusalMiscounted);
+    }
+    if (!display.Connected()) {
+      ::_exit(kChildDisconnected);
+    }
+    // The reply is matched by sequence number: had the refused request
+    // spent one, client and server would disagree and this would time out.
+    if (display.GetGeometry(window) != std::optional<xbase::Rect>({1, 2, 30, 20})) {
+      ::_exit(kChildGeometryMismatch);
+    }
+    if (display.RequestCount() != sent + 1) {
+      ::_exit(kChildRefusalMiscounted);
+    }
+    if (display.ErrorCount() != 0) {
+      ::_exit(kChildSawErrors);
+    }
+    ready.Signal();
+    (void)go.AwaitBlocking();
+    ::_exit(kChildOk);
+  }
+
+  ready.CloseWrite();
+  go.CloseRead();
+  ASSERT_TRUE(host.RunUntil([&]() { return ready.Poll(); }, /*budget_ms=*/10000))
+      << "child never finished its session";
+  ASSERT_EQ(host.connection_count(), 1u);
+  xproto::ClientId client = host.clients()[0];
+  Connection* conn = host.FindConnection(client);
+  ASSERT_NE(conn, nullptr);
+  EXPECT_EQ(conn->state(), ConnectionState::kEstablished);
+  EXPECT_EQ(conn->stats().parse_errors, 0u);
+  EXPECT_EQ(server.ErrorCount(client), 0u);
+  EXPECT_EQ(server.SequenceNumber(client), conn->stats().requests_dispatched);
+
+  go.Signal();
+  int status = 0;
+  ASSERT_EQ(::waitpid(child, &status, 0), child);
   ASSERT_TRUE(WIFEXITED(status));
   EXPECT_EQ(WEXITSTATUS(status), kChildOk) << "child failed at step "
                                            << WEXITSTATUS(status);

@@ -554,6 +554,26 @@ TEST(DisplayDuplex, WireModeQueriesMatchDirectCalls) {
   EXPECT_EQ(stats.reply_parse_errors, 0u);
 }
 
+// In-process wire mode refuses an oversized request the same way a socket
+// client does: false, no X error, no sequence number spent.
+TEST(DisplayDuplex, OversizedRequestIsRefusedBeforeTheWire) {
+  Server server;
+  xlib::Display wired(&server, "wired");
+  wired.set_wire_mode(true);
+  WindowId window = wired.CreateWindow(server.RootWindow(0), {0, 0, 10, 10});
+  ASSERT_NE(window, xproto::kNone);
+  xproto::AtomId atom = wired.InternAtom("SWM_BIG");
+  uint64_t sent = wired.RequestCount();
+  EXPECT_FALSE(wired.ChangeProperty(window, atom, atom, 8, PropMode::kReplace,
+                                    std::vector<uint8_t>(20000, 0x5A)));
+  EXPECT_TRUE(wired.SetCursor(window, std::string(xproto::kMaxWireStringBytes, 'c')));
+  EXPECT_FALSE(wired.SetCursor(window, std::string(xproto::kMaxWireStringBytes + 1, 'c')));
+  EXPECT_EQ(wired.RequestCount(), sent + 1);
+  EXPECT_EQ(wired.wire_stats().refused_requests, 2u);
+  EXPECT_EQ(wired.ErrorCount(), 0u);
+  EXPECT_EQ(wired.GetGeometry(window), std::optional<xbase::Rect>({0, 0, 10, 10}));
+}
+
 TEST(DisplayDuplex, FallbacksAreCountedForUnwiredCalls) {
   Server server;
   xlib::Display wired(&server, "wired");

@@ -7,6 +7,7 @@
 // suite under ASan+UBSan to hold it to that.  Same seed, same bytes: a
 // failing seed reproduces exactly.
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -160,6 +161,120 @@ INSTANTIATE_TEST_SUITE_P(WireFuzzSeeds, WireFuzzTest, ::testing::Range<uint64_t>
 
 // ---- Pure-codec adversarial sweeps (no server) ------------------------------
 
+// The asymmetry gate: whatever a decoder accepts, the matching encoder must
+// write, and what it writes must decode back to an equal value.
+void ExpectReencodes(std::span<const uint8_t> bytes) {
+  ParseError error;
+  Request request;
+  if (xproto::DecodeRequest(bytes, &request, &error) > 0) {
+    std::vector<uint8_t> again = xproto::EncodeRequestBytes(request);
+    ASSERT_FALSE(again.empty()) << "encoder refused a decoded "
+                                << xproto::WireRequestName(request);
+    Request twice;
+    ASSERT_EQ(xproto::DecodeRequest(again, &twice, &error), again.size());
+    EXPECT_TRUE(twice == request) << xproto::WireRequestName(request);
+  }
+  xproto::Reply reply;
+  uint16_t sequence = 0;
+  if (xproto::DecodeReply(bytes, &reply, &error, &sequence) > 0) {
+    std::vector<uint8_t> again = xproto::EncodeReplyBytes(reply, sequence);
+    xproto::Reply twice;
+    ASSERT_EQ(xproto::DecodeReply(again, &twice, &error), again.size());
+    EXPECT_TRUE(twice == reply) << xproto::WireReplyName(reply);
+  }
+  xproto::Event event;
+  if (xproto::DecodeEvent(bytes, &event, &error, &sequence) > 0) {
+    std::vector<uint8_t> again = xproto::EncodeEventBytes(event, sequence);
+    xproto::Event twice;
+    ASSERT_EQ(xproto::DecodeEvent(again, &twice, &error), again.size());
+    EXPECT_TRUE(twice == event) << xproto::EventName(event);
+  }
+  xproto::XError xerror;
+  if (xproto::DecodeError(bytes, &xerror, &error) > 0) {
+    xproto::WireWriter w;
+    xproto::EncodeError(xerror, &w);
+    xproto::XError twice;
+    ASSERT_EQ(xproto::DecodeError(w.span(), &twice, &error), w.bytes().size());
+    EXPECT_EQ(twice.code, xerror.code);
+    EXPECT_EQ(twice.request, xerror.request);
+    EXPECT_EQ(twice.resource_id, xerror.resource_id);
+    EXPECT_EQ(twice.sequence, xerror.sequence);
+  }
+}
+
+// Every variable-length request field at its cap still encodes; one past it
+// (or past the u16 its count travels in, or with an enum out of range) the
+// encoder refuses and writes nothing — the server's decoder would reject the
+// frame, so an honest client must never send it.
+TEST(WireCodecFuzz, EncoderRefusesWhatTheDecoderRejects) {
+  // ChangeProperty has no cap of its own: kMaxRequestBytes bounds its frame,
+  // whose fixed part is 24 bytes.
+  const size_t property_cap = xproto::kMaxRequestBytes - 24;
+  const size_t text_cap = xproto::kMaxWireStringBytes;
+  auto property = [](size_t n) {
+    return xproto::ChangePropertyRequest{.window = 1, .property = 2, .type = 3,
+                                         .data = std::vector<uint8_t>(n, 7)};
+  };
+  auto rects = [](size_t n) {
+    return xproto::ShapeRegionRequest{.window = 1,
+                                      .rects = std::vector<xbase::Rect>(n, {0, 0, 1, 1})};
+  };
+  auto draw = [](int kind, size_t text, int width, int height, size_t cells) {
+    xproto::DrawRequest request;
+    request.window = 1;
+    request.kind = static_cast<uint8_t>(kind);
+    request.text.assign(text, 't');
+    request.bitmap_width = width;
+    request.bitmap_height = height;
+    request.bitmap_cells.resize(cells);
+    return request;
+  };
+  std::vector<Request> at_cap = {
+      property(property_cap),
+      xproto::SetCursorRequest{.window = 1, .name = std::string(text_cap, 'c')},
+      xproto::InternAtomRequest{.name = std::string(text_cap, 'a')},
+      draw(2, text_cap, 0, 0, 0),
+      rects(xproto::kMaxWireRects),
+  };
+  for (const Request& request : at_cap) {
+    std::vector<uint8_t> bytes = xproto::EncodeRequestBytes(request);
+    ASSERT_FALSE(bytes.empty()) << xproto::WireRequestName(request) << " at its cap";
+    ExpectReencodes(bytes);
+  }
+  std::vector<Request> past_cap = {
+      property(property_cap + 1),
+      xproto::SetCursorRequest{.window = 1, .name = std::string(text_cap + 1, 'c')},
+      xproto::SetCursorRequest{.window = 1, .name = std::string(65536 + 4, 'c')},
+      xproto::InternAtomRequest{.name = std::string(text_cap + 1, 'a')},
+      draw(2, text_cap + 1, 0, 0, 0),
+      draw(4, 0, 1, static_cast<int>(xproto::kMaxWireBitmapCells) + 1,
+           xproto::kMaxWireBitmapCells + 1),
+      draw(4, 0, 2, 2, 0),  // Cells disagree with width x height.
+      rects(xproto::kMaxWireRects + 1),
+      xproto::CreateWindowRequest{
+          .parent = 1, .geometry = {}, .window_class = xproto::WindowClass{2}},
+      xproto::ChangePropertyRequest{.window = 1, .format = 7, .data = {}},
+      xproto::ChangePropertyRequest{.window = 1, .mode = 3, .data = {}},
+      xproto::ConfigureWindowRequest{.window = 1, .value_mask = 1u << 7, .geometry = {}},
+      xproto::ConfigureWindowRequest{.window = 1,
+                                     .value_mask = xproto::kConfigStackMode,
+                                     .geometry = {},
+                                     .stack_mode = xproto::StackMode{5}},
+      xproto::GrabButtonRequest{.window = 1, .button = xproto::kMaxButton + 1},
+      draw(5, 0, 0, 0, 0),
+      xproto::SendEventRequest{
+          .destination = 1,
+          .event = xproto::ButtonEvent{.button = 0, .root_pos = {}, .pos = {}}},
+  };
+  for (size_t i = 0; i < past_cap.size(); ++i) {
+    xproto::WireWriter w;
+    w.U32(0xFEEDFACE);  // Earlier frames in the writer are left alone.
+    EXPECT_FALSE(xproto::EncodeRequest(past_cap[i], &w))
+        << xproto::WireRequestName(past_cap[i]) << " (case " << i << ")";
+    EXPECT_EQ(w.bytes().size(), 4u) << "a refused request wrote bytes (case " << i << ")";
+  }
+}
+
 TEST(WireCodecFuzz, SeededGarbageBuffersNeverCrash) {
   // Uniform garbage at every small size; the decoder must fail (or decode a
   // frame that happens to be valid) without ever reading out of bounds.
@@ -169,13 +284,8 @@ TEST(WireCodecFuzz, SeededGarbageBuffersNeverCrash) {
     for (uint8_t& b : buffer) {
       b = static_cast<uint8_t>(rng.Next() % 256);
     }
-    Request decoded;
+    ExpectReencodes(buffer);
     ParseError error;
-    xproto::DecodeRequest(buffer, &decoded, &error);
-    xproto::Event event;
-    xproto::DecodeEvent(buffer, &event, &error);
-    xproto::XError xerror;
-    xproto::DecodeError(buffer, &xerror, &error);
     xproto::ParseTrace(buffer, &error);
   }
 }
@@ -194,9 +304,16 @@ TEST(WireCodecFuzz, EveryOpcodeTimesGarbagePayload) {
       for (size_t i = 4; i < frame.size(); ++i) {
         frame[i] = static_cast<uint8_t>(rng.Next() % 256);
       }
-      Request decoded;
-      ParseError error;
-      xproto::DecodeRequest(frame, &decoded, &error);
+      ExpectReencodes(frame);
+      // The same garbage behind an honest reply header for this opcode, so
+      // the reply decoders meet it too.
+      if (frame.size() >= xproto::kMinReplyBytes) {
+        frame[0] = 1;
+        frame[1] = static_cast<uint8_t>(opcode);
+        frame[4] = static_cast<uint8_t>((frame.size() - xproto::kMinReplyBytes) / 4);
+        frame[5] = frame[6] = frame[7] = 0;
+        ExpectReencodes(frame);
+      }
     }
   }
 }

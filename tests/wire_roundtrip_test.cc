@@ -661,5 +661,308 @@ TEST(WireReplyRejects, ChildCountLie) {
   EXPECT_EQ(error.code, ParseErrorCode::kBadLength);
 }
 
+
+// ---- Golden format ----------------------------------------------------------
+//
+// The wire format pinned byte for byte: the hex of every exemplar frame
+// above (plus one error frame), and a digest over every truncation and every
+// single-bit flip of each of them, run through the matching decoder.  A codec
+// change that moves a byte, or changes which ParseErrorCode a malformed frame
+// earns, fails here.  Both tables were computed once from the hand-written
+// codec and must not be regenerated to make a change pass.
+
+XError GoldenError() {
+  XError error;
+  error.code = ErrorCode::kBadLength;
+  error.request = RequestCode::kDraw;
+  error.resource_id = 0xABCD1234u;
+  error.sequence = 1207;
+  return error;
+}
+
+std::vector<uint8_t> EncodeErrorBytes(const XError& error) {
+  WireWriter w;
+  EncodeError(error, &w);
+  return w.Take();
+}
+
+// Lower-case hex; a run of 8 or more equal bytes is written "[xx*N]".
+std::string GoldenHex(std::span<const uint8_t> bytes) {
+  static const char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (size_t i = 0; i < bytes.size();) {
+    size_t run = 1;
+    while (i + run < bytes.size() && bytes[i + run] == bytes[i]) {
+      ++run;
+    }
+    std::string pair = {kDigits[bytes[i] >> 4], kDigits[bytes[i] & 15]};
+    if (run >= 8) {
+      out += "[" + pair + "*" + std::to_string(run) + "]";
+      i += run;
+    } else {
+      out += pair;
+      ++i;
+    }
+  }
+  return out;
+}
+
+enum class FrameKind { kRequest, kReply, kEvent, kError };
+
+// What one input earns from its decoder: the ParseErrorCode it is rejected
+// with, or the bytes it consumed plus its re-encoding.
+std::vector<uint8_t> Verdict(FrameKind kind, std::span<const uint8_t> input) {
+  ParseError error;
+  size_t consumed = 0;
+  std::vector<uint8_t> again;
+  uint16_t sequence = 0;
+  switch (kind) {
+    case FrameKind::kRequest: {
+      Request request;
+      consumed = DecodeRequest(input, &request, &error);
+      if (consumed > 0) again = EncodeRequestBytes(request);
+      break;
+    }
+    case FrameKind::kReply: {
+      Reply reply;
+      consumed = DecodeReply(input, &reply, &error, &sequence);
+      if (consumed > 0) again = EncodeReplyBytes(reply, sequence);
+      break;
+    }
+    case FrameKind::kEvent: {
+      Event event;
+      consumed = DecodeEvent(input, &event, &error, &sequence);
+      if (consumed > 0) again = EncodeEventBytes(event, sequence);
+      break;
+    }
+    case FrameKind::kError: {
+      XError xerror;
+      consumed = DecodeError(input, &xerror, &error);
+      if (consumed > 0) again = EncodeErrorBytes(xerror);
+      break;
+    }
+  }
+  if (consumed == 0) {
+    return {0xEE, static_cast<uint8_t>(error.code)};
+  }
+  std::vector<uint8_t> out;
+  for (int i = 0; i < 8; ++i) {
+    out.push_back(static_cast<uint8_t>(static_cast<uint64_t>(consumed) >> (8 * i)));
+  }
+  out.insert(out.end(), again.begin(), again.end());
+  return out;
+}
+
+// FNV-1a over the verdicts of every proper prefix and every single-bit flip
+// of every frame.
+uint64_t SweepDigest(FrameKind kind, const std::vector<std::vector<uint8_t>>& frames) {
+  uint64_t hash = 1469598103934665603ull;
+  auto mix = [&hash](const std::vector<uint8_t>& bytes) {
+    for (uint8_t b : bytes) {
+      hash = (hash ^ b) * 1099511628211ull;
+    }
+  };
+  for (const std::vector<uint8_t>& frame : frames) {
+    for (size_t cut = 0; cut < frame.size(); ++cut) {
+      mix(Verdict(kind, std::span<const uint8_t>(frame.data(), cut)));
+    }
+    std::vector<uint8_t> flipped = frame;
+    for (size_t bit = 0; bit < frame.size() * 8; ++bit) {
+      flipped[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+      mix(Verdict(kind, flipped));
+      flipped[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+    }
+  }
+  return hash;
+}
+
+std::vector<std::vector<uint8_t>> RequestFrames() {
+  std::vector<std::vector<uint8_t>> frames;
+  for (const Request& request : AllRequestExemplars()) {
+    frames.push_back(EncodeRequestBytes(request));
+  }
+  return frames;
+}
+
+std::vector<std::vector<uint8_t>> ReplyFrames() {
+  std::vector<std::vector<uint8_t>> frames;
+  uint16_t sequence = 0x1200;
+  for (const Reply& reply : AllReplyExemplars()) {
+    frames.push_back(EncodeReplyBytes(reply, sequence++));
+  }
+  return frames;
+}
+
+std::vector<std::vector<uint8_t>> EventFrames() {
+  std::vector<std::vector<uint8_t>> frames;
+  uint16_t sequence = 0x3400;
+  for (const Event& event : AllEventExemplars()) {
+    frames.push_back(EncodeEventBytes(event, sequence++));
+  }
+  return frames;
+}
+
+void ExpectGoldenHex(const std::vector<std::vector<uint8_t>>& frames,
+                     const std::vector<std::string>& golden) {
+  ASSERT_EQ(frames.size(), golden.size());
+  for (size_t i = 0; i < frames.size(); ++i) {
+    EXPECT_EQ(GoldenHex(frames[i]), golden[i]) << "exemplar " << i;
+  }
+}
+
+const std::vector<std::string> kGoldenRequestHex = {
+    "01010500010000000180ff7fffff0100ffff0100",
+    "010005[00*17]",
+    "04000200ffffffff",
+    "0800020007000000",
+    "0a00020007000000",
+    "0700040003000000040000000180ff7f",
+    "0c0003000900000000000000",
+    "0c000a00090000007f0000000180ffffff7f00000100000002000000050000000b00000004000000",
+    "0c000400020000004000000003000000",
+    "0e00030005000000ffffffff",
+    "0601020006000000",
+    "120206000800000002000000030000000800000000000000",
+    "120006040800000002000000030000002000000000100000[ab*4096]",
+    "130003000800000002000000",
+    "19000b000c000000000040001c0100000c0000002c00000015cd5b07[00*16]",
+    "2a00020000000000",
+    "1c0504000d0000001100000022000000",
+    "1c0004000d[00*11]",
+    "1d0103000d00000000000000",
+    "3d0002000e000000",
+    "800003000f00000023000000",
+    "810003001000000000000000",
+    "81000600100000000e007175657374696f6e5f6172726f77",
+    "82000600110000000180ff7f500018007e00000000000000",
+    "82021f001100000001000200030004002000640000000000[78*100]",
+    "82040e001100000000000000080004002000000008000400[01*32]",
+    "830003001200000000000000",
+    "830007001200000002000000000000000a000a000180ff7fffffffff",
+    "8400020013000000",
+    "8501020014000000",
+    "0300020015000000",
+    "86000200ffffffff",
+    "0f00020016000000",
+    "1000020000000000",
+    "100005000c000000574d5f50524f544f434f4c53",
+    "1000020400100000[61*4096]",
+    "110002001f000000",
+    "140003001700000020000000",
+    "2800040018000000190000000180ff7f",
+    "87000100",
+    "88000100",
+};
+const std::vector<std::string> kGoldenReplyHex = {
+    "01030012000000000100000001020100ffffffffffff[00*10]",
+    "01030112[00*28]",
+    "0186021200000000020000000180ff7fffff010007[00*11]",
+    "010f031200000000030000000100000002[00*15]",
+    "010f0412f2010000030000000100000002000000f40100006400000065000000660000006700000068000000"
+        "690000006a0000006b0000006c0000006d0000006e0000006f00000070000000710000007200000073000000"
+        "7400000075000000760000007700000078000000790000007a0000007b0000007c0000007d0000007e000000"
+        "7f00000080000000810000008200000083000000840000008500000086000000870000008800000089000000"
+        "8a0000008b0000008c0000008d0000008e0000008f0000009000000091000000920000009300000094000000"
+        "95000000960000009700000098000000990000009a0000009b0000009c0000009d0000009e0000009f000000"
+        "a0000000a1000000a2000000a3000000a4000000a5000000a6000000a7000000a8000000a9000000aa000000"
+        "ab000000ac000000ad000000ae000000af000000b0000000b1000000b2000000b3000000b4000000b5000000"
+        "b6000000b7000000b8000000b9000000ba000000bb000000bc000000bd000000be000000bf000000c0000000"
+        "c1000000c2000000c3000000c4000000c5000000c6000000c7000000c8000000c9000000ca000000cb000000"
+        "cc000000cd000000ce000000cf000000d0000000d1000000d2000000d3000000d4000000d5000000d6000000"
+        "d7000000d8000000d9000000da000000db000000dc000000dd000000de000000df000000e0000000e1000000"
+        "e2000000e3000000e4000000e5000000e6000000e7000000e8000000e9000000ea000000eb000000ec000000"
+        "ed000000ee000000ef000000f0000000f1000000f2000000f3000000f4000000f5000000f6000000f7000000"
+        "f8000000f9000000fa000000fb000000fc000000fd000000fe000000ff000000000100000101000002010000"
+        "030100000401000005010000060100000701000008010000090100000a0100000b0100000c0100000d010000"
+        "0e0100000f010000100100001101000012010000130100001401000015010000160100001701000018010000"
+        "190100001a0100001b0100001c0100001d0100001e0100001f01000020010000210100002201000023010000"
+        "2401000025010000260100002701000028010000290100002a0100002b0100002c0100002d0100002e010000"
+        "2f01000030010000310100003201000033010000340100003501000036010000370100003801000039010000"
+        "3a0100003b0100003c0100003d0100003e0100003f0100004001000041010000420100004301000044010000"
+        "45010000460100004701000048010000490100004a0100004b0100004c0100004d0100004e0100004f010000"
+        "500100005101000052010000530100005401000055010000560100005701000058010000590100005a010000"
+        "5b0100005c0100005d0100005e0100005f010000600100006101000062010000630100006401000065010000"
+        "660100006701000068010000690100006a0100006b0100006c0100006d0100006e0100006f01000070010000"
+        "7101000072010000730100007401000075010000760100007701000078010000790100007a0100007b010000"
+        "7c0100007d0100007e0100007f01000080010000810100008201000083010000840100008501000086010000"
+        "8701000088010000890100008a0100008b0100008c0100008d0100008e0100008f0100009001000091010000"
+        "92010000930100009401000095010000960100009701000098010000990100009a0100009b0100009c010000"
+        "9d0100009e0100009f010000a0010000a1010000a2010000a3010000a4010000a5010000a6010000a7010000"
+        "a8010000a9010000aa010000ab010000ac010000ad010000ae010000af010000b0010000b1010000b2010000"
+        "b3010000b4010000b5010000b6010000b7010000b8010000b9010000ba010000bb010000bc010000bd010000"
+        "be010000bf010000c0010000c1010000c2010000c3010000c4010000c5010000c6010000c7010000c8010000"
+        "c9010000ca010000cb010000cc010000cd010000ce010000cf010000d0010000d1010000d2010000d3010000"
+        "d4010000d5010000d6010000d7010000d8010000d9010000da010000db010000dc010000dd010000de010000"
+        "df010000e0010000e1010000e2010000e3010000e4010000e5010000e6010000e7010000e8010000e9010000"
+        "ea010000eb010000ec010000ed010000ee010000ef010000f0010000f1010000f2010000f3010000f4010000"
+        "f5010000f6010000f7010000f8010000f9010000fa010000fb010000fc010000fd010000fe010000ff010000"
+        "000200000102000002020000030200000402000005020000060200000702000008020000090200000a020000"
+        "0b0200000c0200000d0200000e0200000f020000100200001102000012020000130200001402000015020000"
+        "160200001702000018020000190200001a0200001b0200001c0200001d0200001e0200001f02000020020000"
+        "2102000022020000230200002402000025020000260200002702000028020000290200002a0200002b020000"
+        "2c0200002d0200002e0200002f02000030020000310200003202000033020000340200003502000036020000"
+        "3702000038020000390200003a0200003b0200003c0200003d0200003e0200003f0200004002000041020000"
+        "42020000430200004402000045020000460200004702000048020000490200004a0200004b0200004c020000"
+        "4d0200004e0200004f0200005002000051020000520200005302000054020000550200005602000057020000",
+    "0110051200000000ffffffff[00*20]",
+    "011106120000000005[00*23]",
+    "0111071200000000050000001000574d5f44454c4554455f57494e444f570000",
+    "01110812fc030000060000000010[6e*4096]0000",
+    "011409120000000007000000080000000000000008[00*11]",
+    "01140a12ff0300000700000008000000090000002001000000100000[cd*4096]",
+    "01140b12000000000700000008000000090000001001[00*10]",
+    "01280c12000000000180ffffff7f[00*18]",
+    "01870d12[00*28]",
+    "01870e12010000000200000001000000500018000100000002000000ffff010000000000",
+    "01880f12[00*28]",
+    "018810120000000078563412[00*20]",
+    "0188111200000000ffffffff[00*20]",
+};
+const std::vector<std::string> kGoldenEventHex = {
+    "040500340100000002000000150000000180ff7f0300fcfffecaefbeadde0000",
+    "0501013401[00*27]",
+    "0600023401000000000000000100000005000600070008[00*9]",
+    "02000334020000000dff000004[00*19]",
+    "030004340200000071[00*23]",
+    "0700053403000000010001[00*21]",
+    "0800063403[00*27]",
+    "0c0007340400000000000000[ff*8][00*12]",
+    "10010834050000000600000001000200030004[00*13]",
+    "110009340700000008[00*23]",
+    "14000a34090000000a[00*23]",
+    "13010b340b0000000c[00*23]",
+    "12010c340d0000000e[00*23]",
+    "15000d340f00000010000000110000009cff64[00*13]",
+    "17040e3412000000130000001400000009000800070006000100410000000000",
+    "16030f34150000001600000017000000fffffeff1e0028000300000000000000",
+    "1b0110341800000019[00*23]",
+    "1c0111341a0000001b00000063[00*19]",
+    "212012341c0000001d0000000100000002000000030000000400000005000000",
+    "210813341c0000001d[00*23]",
+    "090014341e[00*27]",
+    "0a0015341f[00*27]",
+    "400116342000000000000000050005[00*17]",
+};
+const std::string kGoldenErrorHex = "0007b7043412cdabb70400000000000013[00*15]";
+constexpr uint64_t kRequestSweepDigest = 0xc06c08d3d2836f06ull;
+constexpr uint64_t kReplySweepDigest = 0x553e07318477ac43ull;
+constexpr uint64_t kEventSweepDigest = 0xc446102ea19dfddeull;
+constexpr uint64_t kErrorSweepDigest = 0x1759017264bbcbefull;
+
+TEST(WireGolden, ExemplarFramesAreByteExact) {
+  ExpectGoldenHex(RequestFrames(), kGoldenRequestHex);
+  ExpectGoldenHex(ReplyFrames(), kGoldenReplyHex);
+  ExpectGoldenHex(EventFrames(), kGoldenEventHex);
+  EXPECT_EQ(GoldenHex(EncodeErrorBytes(GoldenError())), kGoldenErrorHex);
+}
+
+TEST(WireGolden, TruncationAndBitFlipSweepDigest) {
+  EXPECT_EQ(SweepDigest(FrameKind::kRequest, RequestFrames()), kRequestSweepDigest);
+  EXPECT_EQ(SweepDigest(FrameKind::kReply, ReplyFrames()), kReplySweepDigest);
+  EXPECT_EQ(SweepDigest(FrameKind::kEvent, EventFrames()), kEventSweepDigest);
+  EXPECT_EQ(SweepDigest(FrameKind::kError, {EncodeErrorBytes(GoldenError())}),
+            kErrorSweepDigest);
+}
+
 }  // namespace
 }  // namespace xproto

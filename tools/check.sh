@@ -58,6 +58,18 @@ UBSAN_OPTIONS="print_stacktrace=1:halt_on_error=1" \
 ASAN_OPTIONS="detect_leaks=1" \
   ctest --test-dir "$BUILD" --output-on-failure -j "$(nproc)" -L perf
 
+# Wire-codec stage: every ctest target labeled `wire` — the golden format
+# (exact bytes of every exemplar frame plus a pinned digest over every
+# truncation and single-bit flip of each), the round-trip and rejection
+# suites, the asymmetry gate (every frame a decoder accepts re-encodes to an
+# equal value; every request field one past its cap is refused by the
+# encoder) and frame reassembly.  This is the acceptance gate for the
+# one-description-per-message codec: no byte may move and no malformed
+# frame may change the ParseErrorCode it earns.
+UBSAN_OPTIONS="print_stacktrace=1:halt_on_error=1" \
+ASAN_OPTIONS="detect_leaks=1" \
+  ctest --test-dir "$BUILD" --output-on-failure -j "$(nproc)" -L wire
+
 # Transport-fault stage: the duplex transport suites, explicitly.  The
 # framed-connection unit tests (reassembly, backpressure, lifecycle,
 # kill-mid-request) and the 24-seed transport chaos storm — wire mutations
@@ -116,4 +128,4 @@ TSAN_OPTIONS="halt_on_error=1" \
 TSAN_OPTIONS="halt_on_error=1" \
   ctest --test-dir "$TSAN_BUILD" --output-on-failure -j "$(nproc)" -L transport-proc
 
-echo "check.sh: all tests passed under ASan+UBSan (including the chaos/fuzz, perf and transport-proc labels) and the worker pool + out-of-process transport are TSan-clean"
+echo "check.sh: all tests passed under ASan+UBSan (including the chaos/fuzz, perf, wire and transport-proc labels) and the worker pool + out-of-process transport are TSan-clean"

@@ -8,8 +8,11 @@
 //
 //   * Built normally, `fuzz_wire` is a standalone corpus runner: each argv is
 //     a corpus file or directory of corpus files, replayed through the same
-//     FuzzOne; with no args it generates 50k seeded-random inputs.  Exit 0
-//     means no decoder crashed, overread, or tripped a sanitizer.
+//     FuzzOne; with no args it generates 50k seeded-random inputs and checks
+//     that the encoder refuses every request field one past its cap.  Exit 0
+//     means no decoder crashed, overread, or tripped a sanitizer, and every
+//     frame a decoder accepted re-encoded to an equal value (the asymmetry
+//     gate aborts otherwise).
 //
 // Either way the contract under test is the same one the unit suites hold
 // the codec to: malformed bytes yield a typed ParseError (an X error on the
@@ -17,6 +20,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -35,6 +39,85 @@
 #include "src/xserver/server.h"
 
 namespace {
+
+[[noreturn]] void Asymmetry(const std::string& what) {
+  std::fprintf(stderr, "fuzz_wire: codec asymmetry: %s\n", what.c_str());
+  std::abort();
+}
+
+// Whatever a decoder accepts, the matching encoder must write, and what it
+// writes must decode back to an equal value.
+void CheckReencodes(std::span<const uint8_t> data) {
+  xproto::ParseError error;
+  xproto::Request request;
+  if (xproto::DecodeRequest(data, &request, &error) > 0) {
+    std::vector<uint8_t> again = xproto::EncodeRequestBytes(request);
+    xproto::Request twice;
+    if (again.empty() || xproto::DecodeRequest(again, &twice, &error) != again.size() ||
+        !(twice == request)) {
+      Asymmetry("request " + xproto::WireRequestName(request));
+    }
+  }
+  xproto::Reply reply;
+  uint16_t sequence = 0;
+  if (xproto::DecodeReply(data, &reply, &error, &sequence) > 0) {
+    std::vector<uint8_t> again = xproto::EncodeReplyBytes(reply, sequence);
+    xproto::Reply twice;
+    if (xproto::DecodeReply(again, &twice, &error) != again.size() || !(twice == reply)) {
+      Asymmetry("reply " + xproto::WireReplyName(reply));
+    }
+  }
+  xproto::Event event;
+  if (xproto::DecodeEvent(data, &event, &error, &sequence) > 0) {
+    std::vector<uint8_t> again = xproto::EncodeEventBytes(event, sequence);
+    xproto::Event twice;
+    if (xproto::DecodeEvent(again, &twice, &error) != again.size() || !(twice == event)) {
+      Asymmetry("event " + xproto::EventName(event));
+    }
+  }
+  xproto::XError xerror;
+  if (xproto::DecodeError(data, &xerror, &error) > 0) {
+    xproto::WireWriter w;
+    xproto::EncodeError(xerror, &w);
+    xproto::XError twice;
+    if (xproto::DecodeError(w.span(), &twice, &error) != w.bytes().size() ||
+        twice.code != xerror.code || twice.request != xerror.request ||
+        twice.resource_id != xerror.resource_id || twice.sequence != xerror.sequence) {
+      Asymmetry("error frame");
+    }
+  }
+}
+
+// Every variable-length request field one past its cap must be refused by
+// the encoder: the server's decoder would reject the frame.
+void CheckRefusesPastCaps() {
+  const std::string past_text(xproto::kMaxWireStringBytes + 1, 'x');
+  std::vector<xproto::Request> past_cap = {
+      xproto::ChangePropertyRequest{
+          .window = 1, .data = std::vector<uint8_t>(xproto::kMaxRequestBytes - 23)},
+      xproto::SetCursorRequest{.window = 1, .name = past_text},
+      xproto::InternAtomRequest{.name = past_text},
+      xproto::DrawRequest{.window = 1,
+                          .kind = 2,
+                          .rect = {},
+                          .text = past_text,
+                          .bitmap_cells = {}},
+      xproto::DrawRequest{.window = 1,
+                          .kind = 4,
+                          .rect = {},
+                          .text = {},
+                          .bitmap_width = 1,
+                          .bitmap_height = static_cast<int>(xproto::kMaxWireBitmapCells) + 1,
+                          .bitmap_cells = std::vector<uint8_t>(xproto::kMaxWireBitmapCells + 1)},
+      xproto::ShapeRegionRequest{
+          .window = 1, .rects = std::vector<xbase::Rect>(xproto::kMaxWireRects + 1)},
+  };
+  for (const xproto::Request& request : past_cap) {
+    if (!xproto::EncodeRequestBytes(request).empty()) {
+      Asymmetry("encoder wrote an over-cap " + xproto::WireRequestName(request));
+    }
+  }
+}
 
 // A persistent server so consecutive inputs fuzz against accumulated state;
 // recycled periodically so window/property tables stay bounded.
@@ -56,17 +139,15 @@ void FuzzOne(std::span<const uint8_t> data) {
     target.Reset();
   }
 
-  // Pure decoders: every parser the wire subset has.
+  // Pure decoders: every parser the wire subset has, each accepted frame
+  // re-encoded through the asymmetry gate.
+  CheckReencodes(data);
   xproto::Request request;
   xproto::ParseError error;
-  xproto::DecodeRequest(data, &request, &error);
   xproto::Event event;
-  xproto::DecodeEvent(data, &event, &error);
   xproto::XError xerror;
-  xproto::DecodeError(data, &xerror, &error);
   xproto::Reply reply;
   uint16_t sequence = 0;
-  xproto::DecodeReply(data, &reply, &error, &sequence);
   xproto::ParseTrace(data, &error);
 
   // Frame reassembly in arbitrary slices, both stream directions: framing
@@ -201,7 +282,10 @@ int main(int argc, char** argv) {
         LLVMFuzzerTestOneInput(frame.data(), frame.size());
       }
     }
-    std::printf("fuzz_wire: 50000 seeded-random inputs + reply-header sweep, no crashes\n");
+    CheckRefusesPastCaps();
+    std::printf(
+        "fuzz_wire: 50000 seeded-random inputs + reply-header sweep, no crashes, "
+        "no codec asymmetry\n");
   } else {
     std::printf("fuzz_wire: replayed %zu corpus file(s), no crashes\n", corpus_files);
   }
