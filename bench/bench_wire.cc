@@ -4,12 +4,16 @@
 //   BM_DecodeRequestStream   parse a pre-encoded mixed request stream;
 //                            messages_per_second is the decode rate.
 //   BM_DispatchBytesStream   the same stream through the full Server
-//                            dispatch path (parse + execute + events).
+//                            dispatch path (parse + execute + events),
+//                            into a fresh server per iteration (made and
+//                            destroyed outside the timing) so every
+//                            iteration dispatches into the same state.
 //   BM_TraceReplay           replay a recorded session (honest traffic,
 //                            input, a mutated hostile stream) into a fresh
 //                            server per iteration.
 #include <benchmark/benchmark.h>
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -109,12 +113,18 @@ void BM_DispatchBytesStream(benchmark::State& state) {
   xbase::SetMinLogSeverity(xbase::LogSeverity::kFatal);
   size_t frames = 0;
   std::vector<uint8_t> stream = BuildStream(600, &frames);
-  auto server = bench_util::MakeServer();
-  xproto::ClientId client = server->Connect("bench");
+  std::unique_ptr<xserver::Server> server;
   size_t dispatched = 0;
   for (auto _ : state) {
+    // The stream creates 100 windows; on a reused server they would pile up
+    // and the bench would measure that growth instead of dispatch.
+    state.PauseTiming();
+    server = bench_util::MakeServer();
+    xproto::ClientId client = server->Connect("bench");
+    state.ResumeTiming();
     xserver::Server::DispatchResult result = server->DispatchBytes(client, stream);
     dispatched += result.requests_dispatched;
+    benchmark::DoNotOptimize(result);
   }
   state.counters["messages_per_second"] = benchmark::Counter(
       static_cast<double>(dispatched), benchmark::Counter::kIsRate);

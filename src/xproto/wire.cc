@@ -243,6 +243,19 @@ struct Vocabulary {
 
 bool WriteEvent(const Event& event, uint16_t sequence, WireWriter* writer);
 
+// Whether `v` survives a wire field of type W unchanged.  An enum travels as
+// its value; a bool or a char is one byte whatever its value.
+template <class W, class T>
+constexpr bool FitsWire(const T& v) {
+  if constexpr (std::is_enum_v<T>) {
+    return std::in_range<W>(static_cast<std::underlying_type_t<T>>(v));
+  } else if constexpr (std::is_same_v<T, bool> || std::is_same_v<T, char>) {
+    return true;
+  } else {
+    return std::in_range<W>(v);
+  }
+}
+
 class Writer : public Vocabulary<Writer> {
  public:
   Writer(WireWriter* w, size_t frame_start, uint8_t alt_code = 0)
@@ -252,7 +265,7 @@ class Writer : public Vocabulary<Writer> {
 
   template <class W>
   void Field(const auto& v, uint64_t max, const char*) {
-    Expect(static_cast<uint64_t>(v) <= max);
+    Expect(FitsWire<W>(v) && static_cast<uint64_t>(v) <= max);
     Put(static_cast<W>(v));
   }
   template <class T>

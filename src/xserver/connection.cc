@@ -230,6 +230,23 @@ bool Connection::ReadInbound() {
   }
 }
 
+bool Connection::ReadSideClosed() {
+  // No faults here: this read only classifies a close.  Bytes still ahead of
+  // the EOF are buffered, never dispatched.
+  uint8_t buf[4096];
+  for (;;) {
+    size_t n = 0;
+    IoStatus status = channel_->Read(buf, sizeof(buf), &n);
+    stats_.bytes_read += n;
+    if (n > 0 && !inbound_.Feed(std::span<const uint8_t>(buf, n))) {
+      return false;
+    }
+    if (status != IoStatus::kOk || n == 0) {
+      return status == IoStatus::kClosed;
+    }
+  }
+}
+
 bool Connection::QueueReplies(std::span<uint8_t> frames) {
   size_t cursor = 0;
   while (cursor < frames.size()) {
@@ -359,11 +376,17 @@ ConnectionState Connection::Pump() {
   stats_.write_queue_peak = std::max(stats_.write_queue_peak, outbound_queued());
   IoStatus flush = FlushOutbound();
   if (flush == IoStatus::kClosed) {
-    // A write rejected with EPIPE/ECONNRESET on a still-established
-    // connection is a dead peer we only discovered on the write side —
-    // a transport error, not a clean EOF.  During a drain the read side
-    // already diagnosed the close; keep its reason (and still account a
-    // partial request frame as a mid-request death).
+    // A write rejected with EPIPE/ECONNRESET: the peer is gone.  A peer that
+    // died between our read and this flush left its EOF waiting on the read
+    // side, so read once more: an EOF makes it a peer close like the drain
+    // path's; only a write failure with the read side still open is a
+    // transport error.  During a drain the read side already diagnosed the
+    // close; keep its reason (and still account a partial request frame as
+    // a mid-request death).
+    if (state_ == ConnectionState::kEstablished && ReadSideClosed()) {
+      state_ = ConnectionState::kDraining;
+      drain_reason_ = CloseReason::kPeerClosed;
+    }
     if (state_ == ConnectionState::kDraining) {
       if (drain_reason_ == CloseReason::kPeerClosed &&
           inbound_.buffered_bytes() > 0) {

@@ -163,6 +163,9 @@ class Connection {
   // EINTR-storm faults apply here).  Returns false when the connection
   // closed under it.
   bool ReadInbound();
+  // After a write found the peer gone: reads what is left without faults and
+  // returns whether the read side reports EOF too.
+  bool ReadSideClosed();
   // Feed + overflow detection (charge, close kReadOverflow).
   bool FeedChecked(std::span<const uint8_t> bytes);
   // Dispatches every complete inbound frame; queues the reply bytes (reply

@@ -12,9 +12,10 @@ using xproto::Event;
 using xproto::kNone;
 using xproto::WindowId;
 
-WindowId Server::DeepestInWindow(const WindowRec& win, const xbase::Point& local) const {
+WindowId Server::DeepestInWindow(const WindowRec& win, const xbase::Point& local) {
   // Children are bottom-most first; hit-test from the top of the stack.
   for (auto it = win.children.rbegin(); it != win.children.rend(); ++it) {
+    ++windows_visited_;
     const WindowRec* child = Find(*it);
     if (child == nullptr || !child->mapped) {
       continue;
@@ -32,7 +33,7 @@ WindowId Server::DeepestInWindow(const WindowRec& win, const xbase::Point& local
   return win.id;
 }
 
-WindowId Server::DeepestViewableAt(const xbase::Point& root_pos) const {
+WindowId Server::DeepestViewableAt(const xbase::Point& root_pos) {
   const WindowRec* root = Find(screens_[pointer_.screen].root);
   if (root == nullptr) {
     return kNone;
@@ -54,7 +55,26 @@ WindowId Server::ChildTowards(WindowId ancestor, WindowId descendant) const {
   return cur == ancestor ? prev : kNone;
 }
 
+void Server::UpdatePointerWindow(WindowId parent, const xbase::Rect& before,
+                                 const xbase::Rect& after) {
+  // The hit test picks, among `parent`'s children, the topmost mapped one
+  // containing the pointer.  A child that contains it neither before nor
+  // after the change is skipped both times, and the others keep their
+  // relative order, so the answer cannot have moved.  Every ancestor of
+  // the pointer window contains the pointer, so a change on that chain
+  // always recomputes.
+  if (!pointer_stale_ && parent != kNone) {
+    xbase::Point origin = RootPosition(parent);
+    xbase::Point local{pointer_.root_pos.x - origin.x, pointer_.root_pos.y - origin.y};
+    if (!before.Contains(local) && !after.Contains(local)) {
+      return;
+    }
+  }
+  UpdatePointerWindow();
+}
+
 void Server::UpdatePointerWindow() {
+  pointer_stale_ = false;
   WindowId now_under = DeepestViewableAt(pointer_.root_pos);
   WindowId was_under = pointer_.window;
   if (now_under == was_under) {

@@ -1,6 +1,7 @@
 #include "src/xserver/server.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "src/base/logging.h"
 
@@ -69,13 +70,15 @@ void Server::Disconnect(ClientId client) {
     MapWindow(win->owner, wid);
   }
   // Destroy windows created by the client (top-level first is not required;
-  // DestroyRecursive handles nesting).
+  // DestroyRecursive handles nesting), in id order so the DestroyNotify
+  // sequence does not depend on the hash table's order.
   std::vector<WindowId> owned;
   for (const auto& [wid, win] : windows_) {
     if (win.owner == client) {
       owned.push_back(wid);
     }
   }
+  std::sort(owned.begin(), owned.end());
   for (WindowId wid : owned) {
     if (windows_.count(wid) != 0) {
       DestroyWindow(client, wid);
@@ -272,11 +275,13 @@ void Server::InjectDestroy(WindowId window) {
   }
   in_fault_ = true;
   ++fault_counters_.destroyed_windows;
+  WindowId parent = win->parent;
+  xbase::Rect extent = win->geometry;
   if (IsViewable(window)) {
     UnmapWindow(win->owner, window);
   }
   DestroyRecursive(window, /*notify_parent=*/true);
-  UpdatePointerWindow();
+  UpdatePointerWindow(parent, extent, extent);
   in_fault_ = false;
 }
 
@@ -391,8 +396,7 @@ WindowId Server::CreateWindow(ClientId client, WindowId parent, const xbase::Rec
   win.override_redirect = override_redirect;
   win.owner = client;
   WindowId id = win.id;
-  windows_[id] = std::move(win);
-  parent_rec = Find(parent);  // Map may have rehashed.
+  windows_.emplace(id, std::move(win));
   parent_rec->children.push_back(id);
   Tick();
 
@@ -417,13 +421,11 @@ void Server::DestroyRecursive(WindowId window, bool notify_parent) {
   if (win == nullptr) {
     return;
   }
-  std::vector<WindowId> children = win->children;
+  // Take the children list once: each dying child then finds its parent's
+  // list already empty, so the subtree dies in O(subtree).
+  std::vector<WindowId> children = std::exchange(win->children, {});
   for (WindowId child : children) {
     DestroyRecursive(child, /*notify_parent=*/false);
-  }
-  win = Find(window);  // Children destruction does not rehash parents, but be safe.
-  if (win == nullptr) {
-    return;
   }
   Tick();
   xproto::DestroyNotifyEvent notify;
@@ -438,9 +440,11 @@ void Server::DestroyRecursive(WindowId window, bool notify_parent) {
     DeliverToSelecting(win->parent, xproto::kSubstructureNotifyMask, Event{notify});
   }
   RemoveFromParent(win);
-  // Drop the window from all save sets.
-  for (auto& [cid, rec] : clients_) {
-    std::erase(rec.save_set, window);
+  // Drop the window from the save sets that hold it.
+  for (ClientId cid : win->save_set_clients) {
+    if (ClientRec* rec = FindClient(cid)) {
+      std::erase(rec->save_set, window);
+    }
   }
   if (grab_.active && grab_.window == window) {
     grab_.active = false;
@@ -466,12 +470,13 @@ bool Server::DestroyWindow(ClientId client, WindowId window) {
   if (win->parent == kNone) {
     return RaiseError(client, ErrorCode::kBadMatch, window);  // Roots cannot be destroyed.
   }
-  bool was_viewable = IsViewable(window);
-  if (was_viewable) {
+  WindowId parent = win->parent;
+  xbase::Rect extent = win->geometry;
+  if (IsViewable(window)) {
     UnmapWindow(client, window);
   }
   DestroyRecursive(window, /*notify_parent=*/true);
-  UpdatePointerWindow();
+  UpdatePointerWindow(parent, extent, extent);
   return true;
 }
 
@@ -513,7 +518,7 @@ void Server::MapApplied(WindowRec* win) {
   if (IsViewable(win->id)) {
     SendExpose(win);
   }
-  UpdatePointerWindow();
+  UpdatePointerWindow(win->parent, win->geometry, win->geometry);
 }
 
 bool Server::MapWindow(ClientId client, WindowId window) {
@@ -569,7 +574,7 @@ bool Server::UnmapWindow(ClientId client, WindowId window) {
     notify.event_window = win->parent;
     DeliverToSelecting(win->parent, xproto::kSubstructureNotifyMask, Event{notify});
   }
-  UpdatePointerWindow();
+  UpdatePointerWindow(win->parent, win->geometry, win->geometry);
   return true;
 }
 
@@ -730,7 +735,7 @@ bool Server::ConfigureWindow(ClientId client, WindowId window, uint16_t value_ma
   if (resized && IsViewable(window)) {
     SendExpose(win);
   }
-  UpdatePointerWindow();
+  UpdatePointerWindow(win->parent, old_geometry, win->geometry);
   // Move/resize-in-progress death: the client gives up on a window the WM is
   // actively configuring.
   if (fault_plan_active_ && !in_fault_ && client != win->owner &&

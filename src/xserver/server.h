@@ -23,6 +23,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "src/base/canvas.h"
@@ -259,6 +260,9 @@ class Server {
   // ---- Pointer / keyboard ------------------------------------------------
   void WarpPointer(int screen, const xbase::Point& root_pos);
   PointerState QueryPointer() const { return pointer_; }
+  // Windows the pointer hit test has examined so far.  A deterministic work
+  // count: a change the pointer is outside of examines none.
+  uint64_t windows_visited() const { return windows_visited_; }
   // Moves the pointer, generating Enter/Leave and MotionNotify events.
   void SimulateMotion(const xbase::Point& root_pos);
   void SimulateButton(int button, bool press, uint32_t modifiers = 0);
@@ -396,8 +400,14 @@ class Server {
   void RemoveFromParent(WindowRec* win);
 
   // Pointer helpers.
-  xproto::WindowId DeepestViewableAt(const xbase::Point& root_pos) const;
-  xproto::WindowId DeepestInWindow(const WindowRec& win, const xbase::Point& local) const;
+  xproto::WindowId DeepestViewableAt(const xbase::Point& root_pos);
+  xproto::WindowId DeepestInWindow(const WindowRec& win, const xbase::Point& local);
+  // After a change to a child of `parent` whose extent (in `parent`'s
+  // coordinates) was `before` and is `after`: recomputes the pointer window
+  // only if the pointer lies in either extent or a shape change is pending.
+  void UpdatePointerWindow(xproto::WindowId parent, const xbase::Rect& before,
+                           const xbase::Rect& after);
+  // Recomputes the pointer window unconditionally.
   void UpdatePointerWindow();
   // Child of `ancestor` on the path toward `descendant` (kNone if none).
   xproto::WindowId ChildTowards(xproto::WindowId ancestor, xproto::WindowId descendant) const;
@@ -410,7 +420,9 @@ class Server {
                     const xbase::Region& clip, xbase::Canvas* canvas) const;
 
   std::vector<ScreenInfo> screens_;
-  std::map<xproto::WindowId, WindowRec> windows_;
+  // Hashed: element references survive a rehash, so a WindowRec* held
+  // across CreateWindow stays valid.  Nothing may depend on its order.
+  std::unordered_map<xproto::WindowId, WindowRec> windows_;
   std::map<xproto::ClientId, ClientRec> clients_;
   std::map<std::string, xproto::AtomId> atoms_;
   std::vector<std::string> atom_names_;  // atom id - 1 -> name.
@@ -420,6 +432,9 @@ class Server {
   xproto::Timestamp time_ = 0;
 
   PointerState pointer_;
+  // A shape changed since the pointer window was last computed.
+  bool pointer_stale_ = false;
+  uint64_t windows_visited_ = 0;
   ActiveGrab grab_;
   xproto::WindowId focus_window_ = xproto::kNone;  // kNone = pointer-root.
 

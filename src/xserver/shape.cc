@@ -11,6 +11,9 @@ void Server::SetShapeInternal(ClientId client, WindowRec* win,
                               std::optional<xbase::Region> region) {
   (void)client;
   win->shape = std::move(region);
+  // The pointer window is not recomputed here; whichever update runs next
+  // does, unconditionally (docs/PROTOCOL.md "Pointer window").
+  pointer_stale_ = true;
   Tick();
   xproto::ShapeNotifyEvent notify;
   notify.window = win->id;

@@ -9,7 +9,9 @@
 #include <signal.h>
 #include <sys/socket.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -496,6 +498,63 @@ TEST(Connection, EpipeDuringDrainKeepsPeerClosedReason) {
   EXPECT_EQ(conn.Pump(), ConnectionState::kClosed);
 }
 
+// A peer that sends `inbound`, then dies the moment the server has read it:
+// the read after `inbound` would block, and from then on every write fails
+// with EPIPE and every read reports EOF.
+class DiesAfterSendingChannel : public ByteChannel {
+ public:
+  explicit DiesAfterSendingChannel(std::vector<uint8_t> inbound)
+      : inbound_(std::move(inbound)) {}
+
+  IoStatus Write(std::span<const uint8_t>, size_t* written) override {
+    *written = 0;
+    return dead_ ? IoStatus::kClosed : IoStatus::kWouldBlock;
+  }
+  IoStatus Read(uint8_t* buf, size_t cap, size_t* bytes_read) override {
+    *bytes_read = 0;
+    if (dead_) {
+      return IoStatus::kClosed;
+    }
+    if (inbound_.empty()) {
+      dead_ = true;
+      return IoStatus::kWouldBlock;
+    }
+    *bytes_read = std::min(cap, inbound_.size());
+    std::copy_n(inbound_.begin(), *bytes_read, buf);
+    inbound_.erase(inbound_.begin(), inbound_.begin() + static_cast<ptrdiff_t>(*bytes_read));
+    return IoStatus::kOk;
+  }
+  void Close() override { open_ = false; }
+  bool IsOpen() const override { return open_; }
+
+ private:
+  std::vector<uint8_t> inbound_;
+  bool dead_ = false;
+  bool open_ = true;
+};
+
+// The victim asks GetGeometry, starts a second request and dies between the
+// server's read and its reply flush.  The flush is the first to notice, but
+// the EOF is already waiting on the read side: a peer close with a torn
+// frame, charged like any mid-request death, not a transport error.
+TEST(Connection, PeerDeathBetweenReadAndFlushIsAPeerClose) {
+  Server server;
+  std::vector<uint8_t> frame =
+      xproto::EncodeRequestBytes(xproto::GetGeometryRequest{.window = server.RootWindow(0)});
+  std::vector<uint8_t> inbound = frame;
+  inbound.insert(inbound.end(), frame.begin(), frame.begin() + frame.size() / 2);
+  Connection conn(&server, std::make_unique<DiesAfterSendingChannel>(inbound), "victim");
+  int charges = 0;
+  conn.SetMisbehaviorHook([&charges](xproto::ClientId, int) { ++charges; });
+  conn.Establish();
+
+  EXPECT_EQ(conn.Pump(), ConnectionState::kClosed);
+  EXPECT_EQ(conn.close_reason(), CloseReason::kPeerClosed);
+  EXPECT_TRUE(conn.died_mid_frame());
+  EXPECT_EQ(charges, 1);
+  EXPECT_EQ(conn.stats().requests_dispatched, 1u);
+}
+
 // ---- Display duplex equivalence --------------------------------------------
 
 // Every query a wire-mode Display answers over the reply codec must agree
@@ -572,6 +631,21 @@ TEST(DisplayDuplex, OversizedRequestIsRefusedBeforeTheWire) {
   EXPECT_EQ(wired.wire_stats().refused_requests, 2u);
   EXPECT_EQ(wired.ErrorCount(), 0u);
   EXPECT_EQ(wired.GetGeometry(window), std::optional<xbase::Rect>({0, 0, 10, 10}));
+}
+
+// A number its wire field cannot hold is refused like an over-cap field,
+// never sent wrapped.
+TEST(DisplayDuplex, WrappingCreateIsRefusedBeforeTheWire) {
+  Server server;
+  xlib::Display wired(&server, "wired");
+  wired.set_wire_mode(true);
+  uint64_t sent = wired.RequestCount();
+  EXPECT_EQ(wired.CreateWindow(server.RootWindow(0), {40000, -40000, 70000, 5}, 70000),
+            xproto::kNone);
+  EXPECT_EQ(wired.RequestCount(), sent);
+  EXPECT_EQ(wired.wire_stats().refused_requests, 1u);
+  EXPECT_EQ(wired.ErrorCount(), 0u);
+  EXPECT_TRUE(server.QueryTree(server.RootWindow(0))->children.empty());
 }
 
 TEST(DisplayDuplex, FallbacksAreCountedForUnwiredCalls) {

@@ -356,6 +356,37 @@ TEST(WireRequestRejects, BadEnumValues) {
   }
 }
 
+// The decoder cannot tell a wrapped number from an honest one, so the encoder
+// refuses any value its wire field cannot hold: {40000, -40000, 70000, 5}
+// with border 70000 would otherwise arrive as {-25536, 25536, 4464, 5}
+// with border 4464.
+TEST(WireRequestRejects, EncoderRefusesNumbersThatWrap) {
+  CreateWindowRequest wraps{
+      .parent = 1, .geometry = {40000, -40000, 70000, 5}, .border_width = 70000};
+  WireWriter w;
+  EXPECT_FALSE(EncodeRequest(Request{wraps}, &w));
+  EXPECT_TRUE(w.bytes().empty()) << "a refused request writes nothing";
+  EXPECT_TRUE(EncodeRequestBytes(wraps).empty());
+
+  // One field out of range is enough; the edges of each width still encode.
+  CreateWindowRequest edges{
+      .parent = 1, .geometry = {-32768, 32767, 65535, 0}, .border_width = 65535};
+  ExpectRequestRoundTrip(edges);
+  for (auto bend : std::vector<void (*)(CreateWindowRequest*)>{
+           [](CreateWindowRequest* r) { r->geometry.x = 32768; },
+           [](CreateWindowRequest* r) { r->geometry.y = -32769; },
+           [](CreateWindowRequest* r) { r->geometry.width = 65536; },
+           [](CreateWindowRequest* r) { r->geometry.height = -1; },
+           [](CreateWindowRequest* r) { r->border_width = 65536; },
+       }) {
+    CreateWindowRequest one = edges;
+    bend(&one);
+    EXPECT_TRUE(EncodeRequestBytes(one).empty())
+        << one.geometry.x << "," << one.geometry.y << " " << one.geometry.width << "x"
+        << one.geometry.height << " border " << one.border_width;
+  }
+}
+
 TEST(WireRequestRejects, OversizedDrawBitmap) {
   WireWriter w;
   w.BeginRequest(static_cast<uint8_t>(WireOpcode::kDraw), 4);

@@ -336,6 +336,24 @@ TEST_F(ServerTest, DisconnectDestroysOwnedWindows) {
   EXPECT_FALSE(server_.HasClient(client_));
 }
 
+// The windows a disconnect tears down die in id order, so what other clients
+// see does not depend on how the server stores its windows.
+TEST_F(ServerTest, DisconnectDestroysOwnedWindowsInIdOrder) {
+  server_.SelectInput(wm_, server_.RootWindow(0), xproto::kSubstructureNotifyMask);
+  std::vector<WindowId> created;
+  for (int i = 0; i < 64; ++i) {
+    created.push_back(server_.CreateWindow(client_, server_.RootWindow(0), {i, 0, 4, 4}, 0,
+                                           xproto::WindowClass::kInputOutput, false));
+  }
+  Drain(wm_);
+  server_.Disconnect(client_);
+  std::vector<WindowId> destroyed;
+  for (const xproto::DestroyNotifyEvent& notify : DrainOf<xproto::DestroyNotifyEvent>(wm_)) {
+    destroyed.push_back(notify.window);
+  }
+  EXPECT_EQ(destroyed, created);
+}
+
 TEST_F(ServerTest, SendEventWithMaskZeroGoesToOwner) {
   WindowId win = server_.CreateWindow(client_, server_.RootWindow(0), {0, 0, 10, 10}, 0,
                                       xproto::WindowClass::kInputOutput, false);

@@ -50,9 +50,11 @@ ASAN_OPTIONS="detect_leaks=1" \
 
 # Perf stage: every ctest target labeled `perf` — structural work-count
 # gates at two population sizes: an unchanged slot reflow issues no request
-# and no event, a denied move answers only its requester, and the
+# and no event, a denied move answers only its requester, the
 # QueryLastCreated reply is one fixed frame however many windows the client
-# owns.  They count work and never read a clock, so they hold under the
+# owns, and a tree change away from the pointer makes the pointer hit test
+# examine no window at 100 or 100,000 windows; plus the 24-seed pointer
+# oracle.  They count work and never read a clock, so they hold under the
 # sanitizers as well as in a release build.
 UBSAN_OPTIONS="print_stacktrace=1:halt_on_error=1" \
 ASAN_OPTIONS="detect_leaks=1" \

@@ -15,16 +15,26 @@
 #   BENCH_9.json  layout-policy engine       (bench_policy)
 #
 # Usage: tools/run_benches.sh
+#          records every file above.
+#        tools/run_benches.sh BENCH OUT.json [BASELINE_CHECKOUT]
+#          records one bench binary into OUT.json.  Given another checkout
+#          of this repository (say, the parent commit), also builds and
+#          records the same bench there first and adds its figures to
+#          OUT.json as "parent/<key>", for a before/after in one file.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 BUILD_DIR=build
 
+if [[ $# -gt 0 ]]; then
+  TARGETS=(--target "$1")
+else
+  TARGETS=(--target bench_eval_resource_db --target bench_frame_pipeline
+           --target bench_wire --target bench_parallel_paint
+           --target bench_transport --target bench_policy)
+fi
 cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
-cmake --build "$BUILD_DIR" -j"$(nproc)" \
-  --target bench_eval_resource_db --target bench_frame_pipeline \
-  --target bench_wire --target bench_parallel_paint \
-  --target bench_transport --target bench_policy >/dev/null
+cmake --build "$BUILD_DIR" -j"$(nproc)" "${TARGETS[@]}" >/dev/null
 
 # Let the machine settle after the build before timing anything.
 sleep 5
@@ -67,6 +77,28 @@ EOF
   rm -f "$out.raw"
   echo "wrote $out"
 }
+
+if [[ $# -gt 0 ]]; then
+  bench="$1" out="$2" baseline="${3:-}"
+  if [[ -n "$baseline" ]]; then
+    cmake -B "$baseline/$BUILD_DIR" -S "$baseline" -DCMAKE_BUILD_TYPE=Release >/dev/null
+    cmake --build "$baseline/$BUILD_DIR" -j"$(nproc)" --target "$bench" >/dev/null
+    sleep 5
+    BUILD_DIR="$baseline/$BUILD_DIR" record "$bench" "$out.parent"
+  fi
+  record "$bench" "$out"
+  if [[ -n "$baseline" ]]; then
+    python3 - "$out.parent" "$out" <<'EOF'
+import json, sys
+merged = json.load(open(sys.argv[2]))
+merged.update({"parent/" + k: v for k, v in json.load(open(sys.argv[1])).items()})
+json.dump(merged, open(sys.argv[2], "w"), indent=2, sort_keys=True)
+open(sys.argv[2], "a").write("\n")
+EOF
+    rm -f "$out.parent"
+  fi
+  exit 0
+fi
 
 record bench_eval_resource_db BENCH_2.json
 record bench_frame_pipeline BENCH_4.json
